@@ -1,0 +1,209 @@
+"""Oracle tests for the voxel metrics: point location against brute force,
+ellipsoid surface area against closed forms, and NADE, |dRES| and SD
+against voxel sets counted independently in numpy."""
+
+import math
+
+import numpy as np
+import pytest
+
+from eitprobe.datagen import TargetSpec, rasterize_target
+from eitprobe.gn import element_to_nodal
+from eitprobe.metrics import (GridSpec, ellipsoid_surface_area, full_report,
+                              get_voxelizer)
+from eitprobe.mesh import RefinementSpec, TankGeometry, build_mesh
+
+COARSE_GRID = GridSpec(dims=16)
+# covers the tiny tank's full height at half a probe radius per voxel
+FINE_GRID = GridSpec(half_width=8.0, dims=32)
+DOMAIN_VOLUME = 4.0 / 3.0 * math.pi * 10.0 ** 3
+TILTED = (0.2, -0.1, 0.3, math.sqrt(1.0 - 0.14))
+
+
+def _centers(spec: GridSpec) -> np.ndarray:
+    """(dims**3, 3) voxel centers in C order."""
+    h = 2.0 * spec.half_width / spec.dims
+    axes = [c - spec.half_width + h * (np.arange(spec.dims) + 0.5)
+            for c in spec.center]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def _locate(mesh, pts: np.ndarray, chunk: int = 128):
+    """Brute-force point location over every element.
+
+    Returns each point's depth (the largest, over elements, of the smallest
+    barycentric coordinate: positive inside the mesh, negative outside) and
+    the barycentric coordinates in the element that attains it.
+    """
+    depth = np.full(len(pts), -np.inf)
+    best_el = np.zeros(len(pts), dtype=np.int64)
+    best_bary = np.zeros((len(pts), 4))
+    p = mesh.nodes[mesh.tets]
+    for lo in range(0, mesh.n_elements, chunk):
+        q = p[lo:lo + chunk]
+        inv = np.linalg.inv(q[:, 1:] - q[:, :1])          # (c, 3, 3)
+        lam = (pts[None] - q[:, :1]) @ inv                # (c, P, 3)
+        bary = np.concatenate([1.0 - lam.sum(axis=2, keepdims=True), lam],
+                              axis=2)                     # (c, P, 4)
+        d = bary.min(axis=2)
+        k = d.argmax(axis=0)
+        dk = d[k, np.arange(len(pts))]
+        better = dk > depth
+        depth[better] = dk[better]
+        best_el[better] = lo + k[better]
+        best_bary[better] = bary[k[better], np.flatnonzero(better)]
+    return depth, best_el, best_bary
+
+
+def _truth_image(mesh, target: TargetSpec) -> np.ndarray:
+    return element_to_nodal(rasterize_target(mesh, target) - target.sigma_bg,
+                            mesh)
+
+
+def _expected(mesh, img, target: TargetSpec, spec: GridSpec) -> dict:
+    """NADE, |dRES| and SD from voxel sets counted directly."""
+    vals = get_voxelizer(mesh, spec).apply(img).ravel()
+    recon = vals >= 0.25 * vals.max()
+    body = (_centers(spec) - np.asarray(target.center)) @ target.rotation_matrix()
+    q = np.sum((body / np.asarray(target.semi_axes)) ** 2, axis=1)
+    truth, roi = q <= 1.0, q <= 4.0
+    v = (2.0 * spec.half_width / spec.dims) ** 3
+    n_recon, n_truth = np.count_nonzero(recon), np.count_nonzero(truth)
+    assert n_recon > 0 and n_truth > 0
+    err = np.count_nonzero((recon & roi) ^ truth)
+    diameter = 2.0 * mesh.geometry.probe_radius
+    res = [np.cbrt(n * v / DOMAIN_VOLUME) for n in (n_recon, n_truth)]
+    return {
+        "nade": err * v / ellipsoid_surface_area(target.semi_axes) / diameter,
+        "delta_res_pct": abs(res[0] - res[1]) * 100.0,
+        "sd_pct": 100.0 * np.count_nonzero(recon & ~truth) / n_recon,
+    }
+
+
+def _assert_matches(report, expected: dict) -> None:
+    assert not report.worst_case
+    for name, value in expected.items():
+        assert getattr(report, name) == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
+@pytest.fixture(scope="module")
+def located(tiny_mesh):
+    return _locate(tiny_mesh, _centers(COARSE_GRID))
+
+
+@pytest.fixture(scope="module")
+def big_probe_mesh():
+    geom = TankGeometry(probe_radius=1.5, probe_height=6.0, tank_height=16.0)
+    return build_mesh(geom, RefinementSpec(near=1.2, far=12.0, growth=2.2))
+
+
+# --- voxelizer -----------------------------------------------------------------
+
+
+def test_voxelizer_matches_brute_force_location(tiny_mesh, located):
+    vox = get_voxelizer(tiny_mesh, COARSE_GRID)
+    depth, _el, _bary = located
+    clear = np.abs(depth) > 1e-9
+    assert clear.mean() > 0.99
+    assert np.array_equal(vox.inside[clear], depth[clear] > 0)
+    assert 0.3 < vox.inside.mean() < 1.0
+
+
+def test_voxelizer_interpolates_p1(tiny_mesh, located):
+    # P1 interpolation reproduces an affine nodal field exactly
+    coef = np.array([0.3, -0.2, 0.5])
+    img = tiny_mesh.nodes @ coef + 1.0
+    vox = get_voxelizer(tiny_mesh, COARSE_GRID)
+    vals = vox.apply(img).ravel()
+    pts = _centers(COARSE_GRID)
+    assert np.allclose(vals[vox.inside], pts[vox.inside] @ coef + 1.0,
+                       rtol=0.0, atol=1e-10)
+    assert np.all(vals[~vox.inside] == 0.0)
+
+    depth, el, bary = located
+    ok = vox.inside & (depth > 1e-9)
+    brute = np.einsum("pk,pk->p", bary, img[tiny_mesh.tets[el]])
+    assert np.allclose(vals[ok], brute[ok], rtol=0.0, atol=1e-10)
+
+
+# --- surface area --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.7])
+def test_sphere_area(r):
+    assert ellipsoid_surface_area((r, r, r)) == pytest.approx(4.0 * math.pi * r * r,
+                                                             rel=1e-12)
+
+
+@pytest.mark.parametrize("a,c", [(1.0, 2.0), (0.5, 3.0), (2.0, 2.1)])
+def test_prolate_spheroid_area(a, c):
+    e = math.sqrt(1.0 - (a / c) ** 2)
+    exact = 2.0 * math.pi * a * a * (1.0 + c / (a * e) * math.asin(e))
+    for axes in [(a, a, c), (a, c, a), (c, a, a)]:
+        assert ellipsoid_surface_area(axes) == pytest.approx(exact, rel=1e-10)
+
+
+@pytest.mark.parametrize("a,c", [(2.0, 1.0), (3.0, 0.5), (2.1, 2.0)])
+def test_oblate_spheroid_area(a, c):
+    e = math.sqrt(1.0 - (c / a) ** 2)
+    exact = 2.0 * math.pi * a * a * (1.0 + (1.0 - e * e) / e * math.atanh(e))
+    for axes in [(a, a, c), (a, c, a), (c, a, a)]:
+        assert ellipsoid_surface_area(axes) == pytest.approx(exact, rel=1e-10)
+
+
+# --- figures of merit ----------------------------------------------------------
+
+
+TARGETS = [
+    TargetSpec(center=(4.5, 1.0, 0.5), semi_axes=(1.5, 2.0, 2.5)),
+    TargetSpec(center=(-3.0, -4.0, -1.5), semi_axes=(1.0, 1.5, 2.0), quat=TILTED),
+    TargetSpec(center=(0.5, 6.0, 3.0), semi_axes=(2.0, 2.0, 2.0)),
+]
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_report_matches_counted_voxel_sets(tiny_mesh, target):
+    img = _truth_image(tiny_mesh, target)
+    report = full_report(tiny_mesh, img, target, spec=FINE_GRID,
+                         method="truth", case_id="c0")
+    assert (report.method, report.case_id) == ("truth", "c0")
+    _assert_matches(report, _expected(tiny_mesh, img, target, FINE_GRID))
+    assert report.sd_pct > 0.0
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_report_invariant_under_image_scaling(tiny_mesh, target):
+    img = _truth_image(tiny_mesh, target)
+    base = full_report(tiny_mesh, img, target, spec=FINE_GRID)
+    for k in (0.5, 3.0, 4.0):
+        assert full_report(tiny_mesh, k * img, target, spec=FINE_GRID) == base
+
+
+def test_empty_image_scores_worst_case(tiny_mesh):
+    target = TARGETS[0]
+    report = full_report(tiny_mesh, np.zeros(tiny_mesh.n_nodes), target,
+                         spec=FINE_GRID)
+    body = (_centers(FINE_GRID) - np.asarray(target.center)) @ target.rotation_matrix()
+    n_truth = np.count_nonzero(
+        np.sum((body / np.asarray(target.semi_axes)) ** 2, axis=1) <= 1.0)
+    v = (2.0 * FINE_GRID.half_width / FINE_GRID.dims) ** 3
+    assert report.worst_case
+    assert report.nade == pytest.approx(
+        n_truth * v / ellipsoid_surface_area(target.semi_axes) / 2.0, rel=1e-12)
+    assert report.delta_res_pct == pytest.approx(
+        np.cbrt(n_truth * v / DOMAIN_VOLUME) * 100.0, rel=1e-12)
+    assert report.sd_pct == 100.0
+
+
+def test_report_uses_the_mesh_probe(big_probe_mesh):
+    # the probe spans z in [-3, 3]; a ball of radius 2 at z = 13 sits 8 above it
+    ball = TargetSpec(center=(0.0, 0.0, 13.0), semi_axes=(2.0, 2.0, 2.0))
+    report = full_report(big_probe_mesh, np.zeros(big_probe_mesh.n_nodes), ball,
+                         spec=FINE_GRID)
+    assert report.distance == pytest.approx(8.0, abs=1e-9)
+
+    # NADE is normalized by the probe diameter, here 3
+    target = TargetSpec(center=(5.0, 1.0, 0.5), semi_axes=(1.5, 2.0, 2.5))
+    img = _truth_image(big_probe_mesh, target)
+    report = full_report(big_probe_mesh, img, target, spec=FINE_GRID)
+    _assert_matches(report, _expected(big_probe_mesh, img, target, FINE_GRID))
