@@ -26,7 +26,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .errors import DimensionError, SingularSystemError, SolverError
-from .ioutil import hash_of, sha256_hex
+from .ioutil import hash_of
 from .mesh import Mesh, TankGeometry
 
 DEFAULT_AMPLITUDE = 5e-6
@@ -172,7 +172,6 @@ class SparseSystem:
     sigma: np.ndarray
     contact_impedance: float
     matrix: csc_matrix           # full (n_nodes + n_el) square, symmetric
-    stiffness: csc_matrix        # conductivity-weighted interior block
     electrode_areas: np.ndarray
     ground_index: int
 
@@ -243,7 +242,6 @@ def assemble_system(mesh: Mesh, sigma: np.ndarray,
     ke = np.einsum("eik,ejk->eij", grads, grads) * (sigma * vols)[:, None, None]
     ii = np.broadcast_to(mesh.tets[:, :, None], (len(vols), 4, 4))
     jj = np.broadcast_to(mesh.tets[:, None, :], (len(vols), 4, 4))
-    stiff = coo_matrix((ke.ravel(), (ii.ravel(), jj.ravel())), shape=(n, n)).tocsc()
 
     rows = [ii.ravel()]
     cols = [jj.ravel()]
@@ -292,7 +290,7 @@ def assemble_system(mesh: Mesh, sigma: np.ndarray,
     # satisfy conservation to the solver residual rather than to the
     # (looser) assembly column-sum noise
     return SparseSystem(mesh=mesh, sigma=sigma, contact_impedance=z,
-                        matrix=full, stiffness=stiff, electrode_areas=areas,
+                        matrix=full, electrode_areas=areas,
                         ground_index=0)
 
 
@@ -335,10 +333,6 @@ class Jacobian:
     sigma: np.ndarray
     contact_impedance: float
     amplitude: float
-
-    @cached_property
-    def sigma_hash(self) -> str:
-        return sha256_hex(np.ascontiguousarray(self.sigma, dtype="<f8").tobytes())
 
 
 def compute_jacobian(mesh: Mesh, sigma: np.ndarray,

@@ -26,7 +26,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import GeometryError, MeshingError
-from .ioutil import sha256_hex
+from .ioutil import canonical_json_bytes, sha256_hex
 
 MESH_FORMAT_VERSION = 1
 
@@ -220,16 +220,20 @@ class Mesh:
         return np.concatenate([g0, g123], axis=1)
 
     @cached_property
+    def _faces(self):
+        return _face_table(self.tets)
+
+    @cached_property
     def interior_faces(self) -> tuple[np.ndarray, np.ndarray]:
         """(faces, owners): faces (F, 3) sorted node triples shared by exactly
         two elements, owners (F, 2) the element pair."""
-        faces, owners, counts = _face_table(self.tets)
+        faces, owners, counts = self._faces
         mask = counts == 2
         return faces[mask], owners[mask, :2]
 
     @cached_property
     def boundary_faces(self) -> np.ndarray:
-        faces, _owners, counts = _face_table(self.tets)
+        faces, _owners, counts = self._faces
         return faces[counts == 1]
 
     @cached_property
@@ -295,15 +299,20 @@ def _graded_spacings(span: float, near: float, far: float, growth: float) -> np.
 
 
 def _jitter(values: np.ndarray, free: np.ndarray, rng: np.random.Generator,
-            frac: float = 0.15) -> np.ndarray:
-    """Perturb the entries flagged ``free`` by +-frac of the local gap."""
-    out = values.copy()
+            period: float | None = None, frac: float = 0.15) -> np.ndarray:
+    """Perturb the entries flagged ``free`` by +-frac of the local gap.
+
+    With a ``period`` the values wrap around, so the end entries' gaps span
+    the seam; without one the end entries stay fixed.
+    """
+    if period is None:
+        ext = np.concatenate([values[:1], values, values[-1:]])
+    else:
+        ext = np.concatenate([[values[-1] - period], values, [values[0] + period]])
+    gaps = np.diff(ext)
     u = rng.uniform(-1.0, 1.0, size=len(values))
-    for i in range(1, len(values) - 1):
-        if free[i]:
-            gap = min(values[i] - values[i - 1], values[i + 1] - values[i])
-            out[i] = values[i] + frac * gap * u[i]
-    return out
+    return np.where(free, values + frac * np.minimum(gaps[:-1], gaps[1:]) * u,
+                    values)
 
 
 def _angular_grid(geom: TankGeometry, density: RefinementSpec,
@@ -336,15 +345,7 @@ def _angular_grid(geom: TankGeometry, density: RefinementSpec,
     arr = np.asarray(thetas)
     free_arr = np.asarray(free)
     if rng is not None:
-        # jitter free angles by a fraction of the local angular gap
-        ext = np.concatenate([[arr[-1] - 2 * math.pi], arr, [arr[0] + 2 * math.pi]])
-        out = arr.copy()
-        u = rng.uniform(-1.0, 1.0, size=len(arr))
-        for i in range(len(arr)):
-            if free_arr[i]:
-                local = min(ext[i + 1] - ext[i], ext[i + 2] - ext[i + 1])
-                out[i] = arr[i] + 0.15 * local * u[i]
-        arr = out
+        arr = _jitter(arr, free_arr, rng, period=2.0 * math.pi)
     if np.any(np.diff(arr) <= 0):
         raise MeshingError("angular grid is not strictly increasing")
     return arr, spans
@@ -638,7 +639,7 @@ def mesh_to_json_bytes(mesh: Mesh) -> bytes:
         "electrodes": [p.ravel().tolist() for p in mesh.electrodes],
         "outer_faces": mesh.outer_faces.ravel().tolist(),
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return canonical_json_bytes(doc)
 
 
 def save_mesh(mesh: Mesh, path: str | Path) -> None:

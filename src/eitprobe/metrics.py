@@ -7,7 +7,14 @@ ellipsoid. Three numbers summarize the comparison: NADE (symmetric
 difference volume inside a 2x region of interest, divided by the truth
 surface area and the probe diameter), |dRES| (difference of the cube-root
 volume fractions, in percent) and SD (fraction of the reconstruction
-lying outside the truth, in percent).
+lying outside the truth, in percent). The probe size comes from the
+mesh's geometry.
+
+The frozen ``GridSpec`` is the only grid geometry, and the key of the
+voxelizer cache. Whatever lives on a grid is a plain array of
+``spec.shape``: float for a voxelized image, bool for a thresholded
+reconstruction or a rasterized ellipsoid. The scorers take such arrays
+together with their spec and raise ``DimensionError`` on a shape mismatch.
 
 All metric values reduce to integer voxel counts pushed through one
 arithmetic expression, so independently coded counting oracles must match
@@ -18,18 +25,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import ellipeinc, ellipkinc
 
 from .datagen import target_probe_distance
 from .errors import DimensionError, EmptyImageError
-from .gn import element_to_nodal  # noqa: F401  (re-export convenience)
 from .mesh import Mesh
 
 V_DOMAIN = 4.0 / 3.0 * math.pi * 10.0 ** 3  # sphere of the placement bound
-PROBE_DIAMETER = 2.0
 
 
 @dataclass(frozen=True)
@@ -62,48 +66,16 @@ class GridSpec:
     def shape(self) -> tuple:
         return (self.dims, self.dims, self.dims)
 
+    def axes(self) -> tuple:
+        """Per-axis voxel center coordinates."""
+        return tuple(o + self.spacing * np.arange(self.dims) for o in self.origin)
+
 
 DEFAULT_GRID = GridSpec()
 
 
-@dataclass(eq=False)
-class VoxelGrid:
-    """Scalar samples on a regular grid; zero marks outside-mesh voxels."""
-
-    origin: tuple
-    spacing: float
-    values: np.ndarray  # (nx, ny, nz)
-
-    @property
-    def dims(self) -> tuple:
-        return self.values.shape
-
-
-@dataclass(eq=False)
-class BinaryVolume:
-    """Thresholded volume on the same geometry as its source grid."""
-
-    origin: tuple
-    spacing: float
-    bits: np.ndarray  # (nx, ny, nz) bool
-
-    @property
-    def dims(self) -> tuple:
-        return self.bits.shape
-
-
-def _axes_points(obj) -> tuple:
-    """Per-axis voxel center coordinates for a GridSpec, VoxelGrid or
-    BinaryVolume."""
-    if isinstance(obj, GridSpec):
-        origin, spacing, dims = obj.origin, obj.spacing, obj.shape
-    else:
-        origin, spacing, dims = obj.origin, obj.spacing, obj.dims
-    return tuple(origin[k] + spacing * np.arange(dims[k]) for k in range(3))
-
-
-def _same_geometry(a, b) -> None:
-    if a.origin != b.origin or a.spacing != b.spacing or a.dims != b.dims:
+def _check_shape(shape: tuple, *volumes: np.ndarray) -> None:
+    if any(v.shape != shape for v in volumes):
         raise DimensionError("volumes live on different grids")
 
 
@@ -116,7 +88,7 @@ class Voxelizer:
         spec.validate()
         self.mesh_id = mesh.mesh_id
         self.spec = spec
-        xs, ys, zs = _axes_points(spec)
+        xs, ys, zs = spec.axes()
         nx, ny, nz = spec.shape
         n_vox = nx * ny * nz
         h = spec.spacing
@@ -180,44 +152,31 @@ def get_voxelizer(mesh: Mesh, spec: GridSpec = DEFAULT_GRID) -> Voxelizer:
 
 
 def voxelize(mesh: Mesh, img: np.ndarray,
-             spec: GridSpec = DEFAULT_GRID) -> VoxelGrid:
+             spec: GridSpec = DEFAULT_GRID) -> np.ndarray:
     """Sample a nodal image onto the grid; outside-mesh voxels are zero."""
     img = np.asarray(img, dtype=np.float64)
     if img.shape != (mesh.n_nodes,):
         raise DimensionError("image length does not match the mesh")
-    vox = get_voxelizer(mesh, spec)
-    return VoxelGrid(origin=spec.origin, spacing=spec.spacing,
-                     values=vox.apply(img))
+    return get_voxelizer(mesh, spec).apply(img)
 
 
-def threshold_quarter(grid: VoxelGrid, contrast_sign: float = 1.0) -> BinaryVolume:
+def threshold_quarter(values: np.ndarray, contrast_sign: float = 1.0) -> np.ndarray:
     """Voxels at or above a quarter of the peak signed value."""
-    signed = grid.values * (1.0 if contrast_sign >= 0 else -1.0)
+    signed = values * (1.0 if contrast_sign >= 0 else -1.0)
     peak = float(signed.max())
     if peak <= 0.0:
         raise EmptyImageError("image has no contrast of the expected sign")
-    return BinaryVolume(origin=grid.origin, spacing=grid.spacing,
-                        bits=signed >= 0.25 * peak)
+    return signed >= 0.25 * peak
 
 
-def _ellipsoid_bits(center, rot, semi_axes, geom) -> np.ndarray:
-    xs, ys, zs = _axes_points(geom)
-    gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
-    pts = np.stack([gx, gy, gz], axis=-1) - np.asarray(center, dtype=np.float64)
-    body = pts @ rot
-    return np.sum((body / np.asarray(semi_axes, dtype=np.float64)) ** 2,
-                  axis=-1) <= 1.0
-
-
-def voxelize_ellipsoid(target, geom) -> BinaryVolume:
-    """Analytic rasterization of a target ellipsoid: voxel center inside."""
-    if isinstance(geom, GridSpec):
-        origin, spacing = geom.origin, geom.spacing
-    else:
-        origin, spacing = geom.origin, geom.spacing
-    bits = _ellipsoid_bits(target.center, target.rotation_matrix(),
-                           target.semi_axes, geom)
-    return BinaryVolume(origin=origin, spacing=spacing, bits=bits)
+def ellipsoid_form(target, spec: GridSpec) -> np.ndarray:
+    """The target's quadratic form at every voxel center: at most 1 inside
+    the ellipsoid, at most 4 inside the concentric one of doubled axes."""
+    pts = (np.stack(np.meshgrid(*spec.axes(), indexing="ij"), axis=-1)
+           - np.asarray(target.center, dtype=np.float64))
+    body = pts @ target.rotation_matrix()
+    return np.sum((body / np.asarray(target.semi_axes, dtype=np.float64)) ** 2,
+                  axis=-1)
 
 
 def ellipsoid_surface_area(semi_axes) -> float:
@@ -234,41 +193,38 @@ def ellipsoid_surface_area(semi_axes) -> float:
                + ellipkinc(phi, m) * math.cos(phi) ** 2))
 
 
-def nade(recon: BinaryVolume, target,
-         probe_diameter: float = PROBE_DIAMETER) -> float:
+def nade(recon: np.ndarray, truth: np.ndarray, roi: np.ndarray,
+         spec: GridSpec, target, probe_diameter: float) -> float:
     """Normalized average distance error against the analytic truth.
 
     Error volume is the symmetric difference between the reconstruction
-    restricted to a 2x concentric region of interest and the voxelized
-    truth; it is divided by the truth surface area, then by the probe
-    diameter.
+    restricted to the 2x concentric region of interest ``roi`` and the
+    voxelized ``truth``; it is divided by the truth surface area, then by
+    the probe diameter.
     """
-    rot = target.rotation_matrix()
-    truth = _ellipsoid_bits(target.center, rot, target.semi_axes, recon)
-    roi = _ellipsoid_bits(target.center, rot,
-                          tuple(2.0 * v for v in target.semi_axes), recon)
-    err = int(np.count_nonzero((recon.bits & roi) ^ truth))
-    h = recon.spacing
+    _check_shape(spec.shape, recon, truth, roi)
+    err = int(np.count_nonzero((recon & roi) ^ truth))
+    h = spec.spacing
     return ((err * h ** 3) / ellipsoid_surface_area(target.semi_axes)) / probe_diameter
 
 
-def delta_res(recon: BinaryVolume, truth: BinaryVolume,
+def delta_res(recon: np.ndarray, truth: np.ndarray, spec: GridSpec,
               domain_volume: float = V_DOMAIN) -> float:
     """Cube-root volume-fraction difference, in percent."""
-    _same_geometry(recon, truth)
-    h = recon.spacing
-    res_r = (int(np.count_nonzero(recon.bits)) * h ** 3 / domain_volume) ** (1.0 / 3.0)
-    res_t = (int(np.count_nonzero(truth.bits)) * h ** 3 / domain_volume) ** (1.0 / 3.0)
+    _check_shape(spec.shape, recon, truth)
+    h = spec.spacing
+    res_r = (int(np.count_nonzero(recon)) * h ** 3 / domain_volume) ** (1.0 / 3.0)
+    res_t = (int(np.count_nonzero(truth)) * h ** 3 / domain_volume) ** (1.0 / 3.0)
     return abs(res_r - res_t) * 100.0
 
 
-def shape_deformation(recon: BinaryVolume, truth: BinaryVolume) -> float:
+def shape_deformation(recon: np.ndarray, truth: np.ndarray) -> float:
     """Share of the reconstruction lying outside the truth, in percent."""
-    _same_geometry(recon, truth)
-    n_recon = int(np.count_nonzero(recon.bits))
+    _check_shape(recon.shape, truth)
+    n_recon = int(np.count_nonzero(recon))
     if n_recon == 0:
         raise EmptyImageError("empty reconstruction")
-    spurious = int(np.count_nonzero(recon.bits & ~truth.bits))
+    spurious = int(np.count_nonzero(recon & ~truth))
     return 100.0 * spurious / n_recon
 
 
@@ -288,77 +244,27 @@ class ErrorReport:
 def full_report(mesh: Mesh, img: np.ndarray, target,
                 spec: GridSpec = DEFAULT_GRID, method: str = "",
                 case_id: str = "", contrast_sign: float = 1.0,
-                probe_diameter: float = PROBE_DIAMETER,
                 domain_volume: float = V_DOMAIN) -> ErrorReport:
     """Voxelize, threshold and score one reconstruction.
 
     A reconstruction with no contrast of the expected sign cannot be
-    thresholded; it scores the worst-case values (the whole truth missed,
-    SD pinned at 100) and is tagged so sweeps can count such cases.
+    thresholded; it scores as the empty reconstruction (the whole truth
+    missed, SD pinned at 100) and is tagged so sweeps can count such cases.
     """
-    distance = target_probe_distance(target)
-    grid = voxelize(mesh, img, spec)
-    truth = voxelize_ellipsoid(target, spec)
-    h = spec.spacing
+    geom = mesh.geometry
+    distance = target_probe_distance(target, geom.probe_radius,
+                                     geom.probe_height / 2.0)
+    values = voxelize(mesh, img, spec)
+    q = ellipsoid_form(target, spec)
+    truth, roi = q <= 1.0, q <= 4.0
     try:
-        recon = threshold_quarter(grid, contrast_sign)
+        recon = threshold_quarter(values, contrast_sign)
     except EmptyImageError:
-        truth_count = int(np.count_nonzero(truth.bits))
-        area = ellipsoid_surface_area(target.semi_axes)
-        return ErrorReport(
-            method=method, case_id=case_id, distance=distance,
-            nade=((truth_count * h ** 3) / area) / probe_diameter,
-            delta_res_pct=(truth_count * h ** 3 / domain_volume) ** (1.0 / 3.0) * 100.0,
-            sd_pct=100.0, worst_case=True)
+        recon = np.zeros(spec.shape, dtype=bool)
+    worst_case = not recon.any()
     return ErrorReport(
         method=method, case_id=case_id, distance=distance,
-        nade=nade(recon, target, probe_diameter),
-        delta_res_pct=delta_res(recon, truth, domain_volume),
-        sd_pct=shape_deformation(recon, truth), worst_case=False)
-
-
-REPORT_HEADER = "method,distance,nade,delta_res_pct,sd_pct,case_id"
-
-
-def write_report_csv(reports, path: str | Path) -> None:
-    lines = [REPORT_HEADER]
-    for r in reports:
-        for field in (r.method, r.case_id):
-            if "," in field or "\n" in field:
-                raise ValueError("method and case_id must not contain "
-                                 "commas or newlines")
-        lines.append(f"{r.method},{r.distance!r},{r.nade!r},"
-                     f"{r.delta_res_pct!r},{r.sd_pct!r},{r.case_id}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def export_volume(vol, path: str | Path, name: str = "volume") -> None:
-    """Write set/nonzero voxels in the legacy ASCII visualization layout
-    (POINTS / CELLS / POINT_DATA sections, one vertex cell per voxel)."""
-    if isinstance(vol, BinaryVolume):
-        mask = vol.bits
-        values = np.ones(int(np.count_nonzero(mask)))
-    else:
-        mask = vol.values != 0.0
-        values = vol.values[mask]
-    idx = np.argwhere(mask)
-    xs, ys, zs = _axes_points(vol)
-    n = idx.shape[0]
-    out = [
-        "# vtk DataFile Version 3.0",
-        name,
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {n} double",
-    ]
-    for i, j, k in idx:
-        out.append(f"{xs[i]!r} {ys[j]!r} {zs[k]!r}")
-    out.append(f"CELLS {n} {2 * n}")
-    out.extend(f"1 {i}" for i in range(n))
-    out.append(f"CELL_TYPES {n}")
-    out.extend("1" for _ in range(n))
-    out.append(f"POINT_DATA {n}")
-    out.append(f"SCALARS {name} double 1")
-    out.append("LOOKUP_TABLE default")
-    out.extend(f"{v!r}" for v in values)
-    Path(path).write_text("\n".join(out) + "\n")
+        nade=nade(recon, truth, roi, spec, target, 2.0 * geom.probe_radius),
+        delta_res_pct=delta_res(recon, truth, spec, domain_volume),
+        sd_pct=100.0 if worst_case else shape_deformation(recon, truth),
+        worst_case=worst_case)

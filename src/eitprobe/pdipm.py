@@ -245,7 +245,8 @@ def reconstruct_pdipm_batch(jac: Jacobian, tv: TvOperator, dv: np.ndarray,
         lim[neg] = (-1.0 - yu[neg]) / dy[neg]
         sd = np.minimum(1.0, lim.min(axis=0))
         ynew = yu + sd * dy
-        assert np.all(np.abs(ynew) <= 1.0 + 1e-12)
+        if not np.all(np.abs(ynew) <= 1.0 + 1e-12):
+            raise LineSearchError("dual step left the feasible box |y| <= 1")
         np.clip(ynew, -1.0, 1.0, out=ynew)
         y[:, cols] = ynew
 

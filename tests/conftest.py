@@ -1,8 +1,8 @@
 """Shared fixtures.
 
 `tiny_*` fixtures are deliberately coarse meshes for unit tests and
-brute-force oracles. The desk-scale world used by the acceptance suite is
-built once per session in test_acceptance.py.
+brute-force oracles. `desk_mesh` is the default tank and probe at the
+default refinement, built once per session for the mesh-size tests.
 """
 
 import numpy as np

@@ -5,7 +5,8 @@ import pytest
 import scipy.linalg as sla
 
 from eitprobe.errors import DimensionError, SingularSystemError
-from eitprobe.forward import (StimPattern, assemble_system, compute_jacobian,
+from eitprobe.forward import (DEFAULT_CONTACT_IMPEDANCE, StimPattern,
+                              assemble_system, compute_jacobian,
                               homogeneous_field, read_frame_csv, solve_forward,
                               solve_injections, write_frame_csv)
 from eitprobe.mesh import Mesh
@@ -60,11 +61,16 @@ def test_matrix_exactly_symmetric(tiny_system):
     assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
 
-def test_stiffness_bilinear_in_sigma(tiny_mesh):
-    a = assemble_system(tiny_mesh, homogeneous_field(tiny_mesh, SIGMA_REF))
-    b = assemble_system(tiny_mesh, homogeneous_field(tiny_mesh, 2.0 * SIGMA_REF))
-    diff = b.stiffness - 2.0 * a.stiffness
-    assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
+def test_matrix_linear_in_sigma_and_admittance(tiny_mesh):
+    # doubling sigma and halving the contact impedance doubles the stiffness
+    # block and the electrode terms alike, bit for bit
+    sigma = np.random.default_rng(0).uniform(0.05, 0.3, tiny_mesh.n_elements)
+    a = assemble_system(tiny_mesh, sigma).matrix
+    b = assemble_system(tiny_mesh, 2.0 * sigma,
+                        DEFAULT_CONTACT_IMPEDANCE / 2.0).matrix
+    assert np.array_equal(b.indptr, a.indptr)
+    assert np.array_equal(b.indices, a.indices)
+    assert np.array_equal(b.data, 2.0 * a.data)
 
 
 def test_sparse_solution_matches_dense_lu(tiny_mesh, tiny_system):

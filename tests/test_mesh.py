@@ -102,6 +102,12 @@ def test_seeded_jitter_changes_mesh(tiny_geom):
     assert validate_mesh(b).ok
 
 
+def test_jittered_mesh_bytes_pinned(tiny_mesh_alt):
+    # seed 5 jitters the angular, z and radial grids; pins every jitter path
+    assert tiny_mesh_alt.mesh_id == (
+        "5e3f1784d9d0da33d2d6e82cb4b4ea613a66ca3c39c4efa2fba2ae8eb4319ff1")
+
+
 def test_validation_clean_mesh(tiny_mesh):
     rep = validate_mesh(tiny_mesh)
     assert rep.ok, str(rep)
