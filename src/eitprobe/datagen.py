@@ -29,7 +29,8 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .errors import DimensionError, EitProbeError, ProvenanceError
+from .errors import (DimensionError, EitProbeError, GeometryError,
+                     ProvenanceError)
 from .forward import (MeasurementSchedule, StimPattern, VoltageFrame,
                       assemble_system, solve_forward, write_frame_csv,
                       read_frame_csv)
@@ -393,6 +394,14 @@ def gen_dataset(out_dir: str | Path, n: int, gen_mesh: Mesh, inv_mesh: Mesh,
     if master_seed < 0:
         raise ValueError("master_seed must be nonnegative")
     bounds.validate()
+    geom = gen_mesh.geometry
+    if not (math.isclose(bounds.probe_radius, geom.probe_radius)
+            and math.isclose(bounds.probe_half_height, geom.probe_height / 2)):
+        raise GeometryError(
+            f"bounds place targets around a probe of radius "
+            f"{bounds.probe_radius:g} and half-height "
+            f"{bounds.probe_half_height:g}, the mesh has radius "
+            f"{geom.probe_radius:g} and half-height {geom.probe_height / 2:g}")
     pattern.validate()
     nm = noise if noise is not None else NOISE_OFF
     nm.validate()

@@ -1,15 +1,19 @@
 """One-step Gauss-Newton difference imaging through a precomputed matrix.
 
 Building the reconstruction matrix R is the expensive phase; applying it to
-a voltage difference is a single matrix-vector product. The Jacobian columns
-are scaled by element volume to undo the grading bias of the mesh, the
-normal equations are regularized by a smoothness prior, and the solve uses
-the push-through identity
+a voltage difference is a single matrix-vector product that yields the
+nodal conductivity change directly, because the volume-weighted averaging
+from elements to nodes is folded into R. The Jacobian columns are scaled by
+element volume to undo the grading bias of the mesh, the normal equations
+are regularized by a smoothness prior, and the solve uses the push-through
+identity
 
     (U U' + S)^-1 U = S^-1 U (I + U' S^-1 U)^-1
 
 so only the sparse prior S and a dense measurement-by-measurement block are
-ever factorized; an element-by-element dense matrix is never formed.
+ever factorized; an element-by-element dense matrix is never formed. The
+right-hand sides U are streamed in blocks of measurement columns, so no
+element-by-measurement array beyond one block is held besides the Jacobian.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.sparse import csr_matrix
 from scipy.sparse import identity as speye
 from scipy.sparse.linalg import splu
 
@@ -34,9 +39,12 @@ from .pdipm import build_tv_operator
 DEFAULT_LAMBDA = 0.03
 PRIORS = ("laplacian", "tikhonov")
 _PRIOR_RIDGE = 1e-8
+# measurement columns per solve block of the matrix build; caps its working
+# set at a few element-by-block arrays
+_BLOCK_COLUMNS = 128
 
 EITR_MAGIC = b"EITR"
-EITR_VERSION = 1
+EITR_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -69,8 +77,9 @@ class GnConfig:
 
 @dataclass(eq=False)
 class ReconstructionMatrix:
-    """Dense map from a 928-long voltage difference to a per-element
-    conductivity change, tied to the mesh and schedule it was built for."""
+    """Dense nodes-by-measurements map from a 928-long voltage difference
+    to the nodal conductivity change, tied to the mesh and schedule it was
+    built for."""
 
     matrix: np.ndarray
     mesh_id: str
@@ -97,38 +106,76 @@ def smoothness_prior(mesh: Mesh, prior: str):
 
 def build_reconstruction_matrix(jac: Jacobian, mesh: Mesh,
                                 cfg: GnConfig) -> ReconstructionMatrix:
+    """Nodal one-step GN matrix: ``reconstruct_gn`` applies it as is."""
+    return _build(jac, mesh, cfg, _averaging_map(mesh))
+
+
+def _element_reconstruction_matrix(jac: Jacobian, mesh: Mesh,
+                                   cfg: GnConfig) -> ReconstructionMatrix:
+    """The same solve without the averaging: elements by measurements.
+    Only the tests use it, to check the normal equations per element."""
+    return _build(jac, mesh, cfg, speye(mesh.n_elements, format="csr"))
+
+
+def _build(jac: Jacobian, mesh: Mesh, cfg: GnConfig,
+           avg: csr_matrix) -> ReconstructionMatrix:
+    """R = avg V^-1 W (I + U' W)^-1 / scale with U = (J V^-1 / scale)' and
+    W = S^-1 U, V = diag(volumes); U and W exist one column block at a
+    time, and only the two products with them are kept."""
     cfg.validate()
     if jac.mesh_id != mesh.mesh_id:
         raise ProvenanceError("Jacobian was computed on a different mesh")
+    jmat = jac.matrix
+    n_meas = jmat.shape[0]
     vols = mesh.volumes
+    blocks = [slice(i, i + _BLOCK_COLUMNS)
+              for i in range(0, n_meas, _BLOCK_COLUMNS)]
     # sensitivity entries grow with element volume; dividing the columns by
     # volume puts coarse far elements and fine near elements on one scale
-    jt = jac.matrix / vols[None, :]
-    n_meas = jt.shape[0]
-    scale = np.linalg.norm(jt) / math.sqrt(n_meas)
-    u = np.ascontiguousarray(jt.T) / scale
+    sq = sum(np.linalg.norm(jmat[b] / vols) ** 2 for b in blocks)
+    scale = math.sqrt(sq / n_meas)
+    unscale = vols * scale
     lam2 = cfg.lam ** 2
     if cfg.prior == "tikhonov":
-        w = u / lam2
+        def solve(u):
+            return u / lam2
     else:
         s = (lam2 * smoothness_prior(mesh, cfg.prior)).tocsc()
         try:
-            factor = splu(s, permc_spec="MMD_AT_PLUS_A")
+            solve = splu(s, permc_spec="MMD_AT_PLUS_A").solve
         except RuntimeError as exc:
             raise IllConditionedError(f"prior factorization failed: {exc}") from exc
-        w = factor.solve(u)
-    g = np.eye(n_meas) + u.T @ w
+    g = np.eye(n_meas)
+    z = np.empty((avg.shape[0], n_meas))
+    for b in blocks:
+        # the transpose of a row block is Fortran-ordered, as SuperLU wants
+        w = solve((jmat[b] / unscale).T)
+        w /= unscale[:, None]
+        g[:, b] += jmat @ w
+        z[:, b] = avg @ w
     g = 0.5 * (g + g.T)
     try:
         cho = cho_factor(g, lower=True)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(
             f"regularized normal matrix is not positive definite: {exc}") from exc
-    r = cho_solve(cho, w.T).T / (vols[:, None] * scale)
+    # z.T is Fortran-ordered, so the solve overwrites it in place
+    r = cho_solve(cho, z.T, overwrite_b=True).T
     if not np.all(np.isfinite(r)):
         raise IllConditionedError("reconstruction matrix has non-finite entries")
     return ReconstructionMatrix(matrix=r, mesh_id=jac.mesh_id,
                                 schedule_id=jac.schedule_id, config=cfg)
+
+
+def _averaging_map(mesh: Mesh) -> csr_matrix:
+    """Sparse nodes-by-elements map to the volume-weighted mean of the
+    elements incident to each node; a node in no element maps to zero."""
+    flat = mesh.tets.ravel()
+    weights = np.repeat(mesh.volumes, 4)
+    wsum = np.bincount(flat, weights=weights, minlength=mesh.n_nodes)
+    cols = np.repeat(np.arange(mesh.n_elements), 4)
+    return csr_matrix((weights / wsum[flat], (flat, cols)),
+                      shape=(mesh.n_nodes, mesh.n_elements))
 
 
 def element_to_nodal(values: np.ndarray, mesh: Mesh) -> np.ndarray:
@@ -137,12 +184,7 @@ def element_to_nodal(values: np.ndarray, mesh: Mesh) -> np.ndarray:
     if values.shape != (mesh.n_elements,):
         raise DimensionError(
             f"image has {values.shape} entries, mesh has {mesh.n_elements} elements")
-    flat = mesh.tets.ravel()
-    wsum = np.bincount(flat, weights=np.repeat(mesh.volumes, 4),
-                       minlength=mesh.n_nodes)
-    vsum = np.bincount(flat, weights=np.repeat(mesh.volumes * values, 4),
-                       minlength=mesh.n_nodes)
-    return np.where(wsum > 0, vsum / np.where(wsum > 0, wsum, 1.0), 0.0)
+    return _averaging_map(mesh) @ values
 
 
 def reconstruct_gn(rmat: ReconstructionMatrix, dv, mesh: Mesh) -> np.ndarray:
@@ -157,7 +199,7 @@ def reconstruct_gn(rmat: ReconstructionMatrix, dv, mesh: Mesh) -> np.ndarray:
         values = np.asarray(dv, dtype=np.float64)
     if values.shape != (rmat.matrix.shape[1],):
         raise DimensionError("voltage difference length does not match the matrix")
-    return element_to_nodal(rmat.matrix @ values, mesh)
+    return rmat.matrix @ values
 
 
 def save_matrix(rmat: ReconstructionMatrix, path: str | Path) -> None:

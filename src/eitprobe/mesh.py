@@ -141,6 +141,10 @@ class RefinementSpec:
             raise MeshingError("near edge target must not exceed far edge target")
         if self.growth <= 1.0:
             raise MeshingError("growth must exceed 1")
+        # an unseeded generator would jitter differently on every build
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise MeshingError(
+                f"seed must be a non-negative integer (got {self.seed!r})")
 
 
 @dataclass

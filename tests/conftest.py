@@ -1,8 +1,9 @@
 """Shared fixtures.
 
-`tiny_*` fixtures are deliberately coarse meshes for unit tests and
-brute-force oracles. `desk_mesh` is the default tank and probe at the
-default refinement, built once per session for the mesh-size tests.
+`tiny_*` fixtures are deliberately coarse meshes, and the Jacobian and GN
+matrix built on them, for unit tests and brute-force oracles. `desk_mesh`
+is the default tank and probe at the default refinement, built once per
+session for the mesh-size tests.
 """
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from eitprobe.forward import (StimPattern, adjacent_schedule, compute_jacobian,
                               homogeneous_field)
+from eitprobe.gn import GnConfig, build_reconstruction_matrix
 from eitprobe.mesh import Mesh, RefinementSpec, TankGeometry, build_mesh
 
 SIGMA_REF = 0.15
@@ -43,6 +45,11 @@ def tiny_schedule(tiny_geom):
 def tiny_jacobian(tiny_mesh, tiny_schedule):
     sigma = homogeneous_field(tiny_mesh, SIGMA_REF)
     return compute_jacobian(tiny_mesh, sigma, StimPattern(), tiny_schedule)
+
+
+@pytest.fixture(scope="session")
+def tiny_rmat(tiny_jacobian, tiny_mesh):
+    return build_reconstruction_matrix(tiny_jacobian, tiny_mesh, GnConfig())
 
 
 @pytest.fixture(scope="session")

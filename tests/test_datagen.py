@@ -13,10 +13,10 @@ from eitprobe.datagen import (NOISE_OFF, NoiseModel, SampleBounds, TargetSpec,
                               load_training_arrays, pair_separations,
                               rasterize_target, sample_target,
                               snr_per_measurement, target_probe_distance)
-from eitprobe.errors import ProvenanceError
+from eitprobe.errors import GeometryError, ProvenanceError
 from eitprobe.forward import MeasurementSchedule, VoltageFrame
-from eitprobe.gn import GnConfig, build_reconstruction_matrix
-from eitprobe.mesh import elements_in_ellipsoid
+from eitprobe.mesh import (RefinementSpec, TankGeometry, build_mesh,
+                           elements_in_ellipsoid)
 
 IDENTITY_QUAT = (0.0, 0.0, 0.0, 1.0)
 TINY_BOUNDS = SampleBounds(max_distance=3.0, semi_axes=(1.0, 1.5, 2.0))
@@ -29,11 +29,6 @@ def draws():
     targets = [sample_target(rng, bounds) for _ in range(1000)]
     dist = np.array([target_probe_distance(t) for t in targets])
     return targets, dist
-
-
-@pytest.fixture(scope="module")
-def tiny_rmat(tiny_jacobian, tiny_mesh):
-    return build_reconstruction_matrix(tiny_jacobian, tiny_mesh, GnConfig())
 
 
 @pytest.fixture(scope="module")
@@ -303,6 +298,20 @@ class TestDataset:
         with pytest.raises(ProvenanceError, match="schedule"):
             gen_dataset(tmp_path / "y", 1, tiny_mesh_alt, tiny_mesh,
                         shifted, tiny_rmat, bounds=TINY_BOUNDS)
+
+    def test_bounds_must_match_the_mesh_probe(self, tmp_path, tiny_mesh,
+                                              tiny_schedule, tiny_rmat):
+        wide = build_mesh(TankGeometry(probe_radius=1.5, probe_height=6.0,
+                                       tank_height=16.0),
+                          RefinementSpec(near=1.2, far=12.0, growth=2.2))
+        with pytest.raises(GeometryError, match="probe"):
+            gen_dataset(tmp_path / "x", 1, wide, tiny_mesh, tiny_schedule,
+                        tiny_rmat)
+        # matching bounds pass the geometry check and reach provenance
+        bounds = SampleBounds(probe_radius=1.5, probe_half_height=3.0)
+        with pytest.raises(ProvenanceError, match="identical"):
+            gen_dataset(tmp_path / "y", 1, wide, wide, tiny_schedule,
+                        tiny_rmat, bounds=bounds)
 
     def test_manifest_and_arrays(self, tiny_dataset, tiny_mesh, tiny_mesh_alt,
                                  tiny_schedule):

@@ -1,16 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from eitprobe.errors import DimensionError, ProvenanceError
 from eitprobe.forward import VoltageFrame
-from eitprobe.gn import (GnConfig, build_reconstruction_matrix,
-                         element_to_nodal, load_matrix, reconstruct_gn,
-                         save_matrix, smoothness_prior)
+from eitprobe.gn import (GnConfig, _element_reconstruction_matrix,
+                         build_reconstruction_matrix, element_to_nodal,
+                         load_matrix, reconstruct_gn, save_matrix,
+                         smoothness_prior)
+from eitprobe.ioutil import pack_u32
 
 
 @pytest.fixture(scope="module")
-def rmat(tiny_jacobian, tiny_mesh):
-    return build_reconstruction_matrix(tiny_jacobian, tiny_mesh, GnConfig())
+def elem_rmat(tiny_jacobian, tiny_mesh):
+    """Element-level matrix: the published one before nodal averaging."""
+    return _element_reconstruction_matrix(tiny_jacobian, tiny_mesh, GnConfig())
 
 
 def _normal_equation_residual(jac, mesh, rmat):
@@ -25,52 +30,76 @@ def _normal_equation_residual(jac, mesh, rmat):
     return np.linalg.norm(lhs - js.T) / np.linalg.norm(js.T)
 
 
-def test_solves_regularized_normal_equations(tiny_jacobian, tiny_mesh, rmat):
-    assert _normal_equation_residual(tiny_jacobian, tiny_mesh, rmat) < 1e-4
+def test_solves_regularized_normal_equations(tiny_jacobian, tiny_mesh,
+                                             elem_rmat):
+    assert _normal_equation_residual(tiny_jacobian, tiny_mesh, elem_rmat) < 1e-4
 
 
 def test_tikhonov_prior_normal_equations(tiny_jacobian, tiny_mesh):
-    rm = build_reconstruction_matrix(tiny_jacobian, tiny_mesh,
-                                     GnConfig(prior="tikhonov"))
+    rm = _element_reconstruction_matrix(tiny_jacobian, tiny_mesh,
+                                        GnConfig(prior="tikhonov"))
     assert _normal_equation_residual(tiny_jacobian, tiny_mesh, rm) < 1e-9
 
 
-def test_huge_lambda_suppresses_image(tiny_jacobian, tiny_mesh, rmat):
+def test_huge_lambda_suppresses_image(tiny_jacobian, tiny_mesh, tiny_rmat):
     rm = build_reconstruction_matrix(tiny_jacobian, tiny_mesh,
                                      GnConfig(lam=1e6))
-    assert np.abs(rm.matrix).max() < 1e-6 * np.abs(rmat.matrix).max()
+    assert np.abs(rm.matrix).max() < 1e-6 * np.abs(tiny_rmat.matrix).max()
 
 
-def test_single_element_localization(tiny_jacobian, tiny_mesh, rmat):
+def test_single_element_localization(tiny_jacobian, tiny_mesh, elem_rmat):
     c = tiny_mesh.centroids
     e_star = int(np.argmin((np.hypot(c[:, 0], c[:, 1]) - 1.3) ** 2
                            + c[:, 2] ** 2))
     dv = tiny_jacobian.matrix[:, e_star] * 0.15
-    image = rmat.matrix @ dv
+    image = elem_rmat.matrix @ dv
     top = int(np.argmax(np.abs(image)))
     shared = set(tiny_mesh.tets[top]) & set(tiny_mesh.tets[e_star])
     assert shared, f"peak element {top} does not touch perturbed {e_star}"
 
 
-def test_rebuild_bit_identical(tiny_jacobian, tiny_mesh, rmat):
+def test_matrix_folds_the_nodal_averaging(tiny_mesh, tiny_rmat, elem_rmat):
+    assert tiny_rmat.matrix.shape == (tiny_mesh.n_nodes, 928)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        dv = rng.normal(size=928) * 1e-4
+        expected = element_to_nodal(elem_rmat.matrix @ dv, tiny_mesh)
+        got = reconstruct_gn(tiny_rmat, dv, tiny_mesh)
+        assert np.abs(got - expected).max() <= 1e-6 * np.abs(expected).max()
+
+
+def test_build_memory_stays_near_the_jacobian(tiny_jacobian, tiny_mesh):
+    # the build must not hold whole element-by-measurement copies of the
+    # Jacobian; caches of the mesh are warmed so only the build is counted
+    smoothness_prior(tiny_mesh, "laplacian")
+    tracemalloc.start()
+    try:
+        build_reconstruction_matrix(tiny_jacobian, tiny_mesh, GnConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * tiny_jacobian.matrix.nbytes
+
+
+def test_rebuild_bit_identical(tiny_jacobian, tiny_mesh, tiny_rmat):
     again = build_reconstruction_matrix(tiny_jacobian, tiny_mesh, GnConfig())
-    assert np.array_equal(again.matrix, rmat.matrix)
+    assert np.array_equal(again.matrix, tiny_rmat.matrix)
 
 
-def test_zero_dv_gives_zero_image(rmat, tiny_mesh):
-    img = reconstruct_gn(rmat, np.zeros(928), tiny_mesh)
+def test_zero_dv_gives_zero_image(tiny_rmat, tiny_mesh):
+    img = reconstruct_gn(tiny_rmat, np.zeros(928), tiny_mesh)
     assert img.shape == (tiny_mesh.n_nodes,)
     assert np.all(img == 0.0)
 
 
-def test_reconstruction_is_linear(rmat, tiny_mesh):
+def test_reconstruction_is_linear(tiny_rmat, tiny_mesh):
     rng = np.random.default_rng(4)
     dv1 = rng.normal(size=928) * 1e-6
     dv2 = rng.normal(size=928) * 1e-6
     a, b = 0.7, -2.3
-    combo = reconstruct_gn(rmat, a * dv1 + b * dv2, tiny_mesh)
-    parts = (a * reconstruct_gn(rmat, dv1, tiny_mesh)
-             + b * reconstruct_gn(rmat, dv2, tiny_mesh))
+    combo = reconstruct_gn(tiny_rmat, a * dv1 + b * dv2, tiny_mesh)
+    parts = (a * reconstruct_gn(tiny_rmat, dv1, tiny_mesh)
+             + b * reconstruct_gn(tiny_rmat, dv2, tiny_mesh))
     assert np.abs(combo - parts).max() <= 1e-10 * np.abs(combo).max()
 
 
@@ -100,20 +129,20 @@ def test_element_to_nodal_matches_accumulation_oracle(tiny_mesh):
     assert np.abs(got - expected).max() < 1e-12
 
 
-def test_matrix_file_round_trip(rmat, tmp_path):
+def test_matrix_file_round_trip(tiny_rmat, tmp_path):
     path = tmp_path / "r.eitr"
-    save_matrix(rmat, path)
+    save_matrix(tiny_rmat, path)
     back = load_matrix(path)
-    assert np.array_equal(back.matrix, rmat.matrix)
-    assert back.mesh_id == rmat.mesh_id
-    assert back.schedule_id == rmat.schedule_id
-    assert back.config == rmat.config
-    assert back.config_hash == rmat.config_hash
+    assert np.array_equal(back.matrix, tiny_rmat.matrix)
+    assert back.mesh_id == tiny_rmat.mesh_id
+    assert back.schedule_id == tiny_rmat.schedule_id
+    assert back.config == tiny_rmat.config
+    assert back.config_hash == tiny_rmat.config_hash
 
 
-def test_matrix_file_rejects_corruption(rmat, tmp_path):
+def test_matrix_file_rejects_corruption(tiny_rmat, tmp_path):
     path = tmp_path / "r.eitr"
-    save_matrix(rmat, path)
+    save_matrix(tiny_rmat, path)
     blob = path.read_bytes()
     bad = tmp_path / "bad.eitr"
     bad.write_bytes(b"NOPE" + blob[4:])
@@ -127,19 +156,31 @@ def test_matrix_file_rejects_corruption(rmat, tmp_path):
         load_matrix(bad)
 
 
-def test_mesh_provenance_enforced(tiny_jacobian, tiny_mesh, tiny_mesh_alt, rmat):
+def test_matrix_file_refuses_version_1(tiny_rmat, tmp_path):
+    # version 1 stored an element-level matrix; version 2 stores nodes
+    path = tmp_path / "r.eitr"
+    save_matrix(tiny_rmat, path)
+    blob = path.read_bytes()
+    old = tmp_path / "v1.eitr"
+    old.write_bytes(blob[:4] + pack_u32(1) + blob[8:])
+    with pytest.raises(ValueError, match="unsupported matrix file version"):
+        load_matrix(old)
+
+
+def test_mesh_provenance_enforced(tiny_jacobian, tiny_mesh, tiny_mesh_alt,
+                                  tiny_rmat):
     with pytest.raises(ProvenanceError):
-        reconstruct_gn(rmat, np.zeros(928), tiny_mesh_alt)
+        reconstruct_gn(tiny_rmat, np.zeros(928), tiny_mesh_alt)
     with pytest.raises(ProvenanceError):
         build_reconstruction_matrix(tiny_jacobian, tiny_mesh_alt, GnConfig())
     frame = VoltageFrame(values=np.zeros(928), schedule_id="somethingelse")
     with pytest.raises(ProvenanceError):
-        reconstruct_gn(rmat, frame, tiny_mesh)
+        reconstruct_gn(tiny_rmat, frame, tiny_mesh)
 
 
-def test_dv_length_checked(rmat, tiny_mesh):
+def test_dv_length_checked(tiny_rmat, tiny_mesh):
     with pytest.raises(DimensionError):
-        reconstruct_gn(rmat, np.zeros(927), tiny_mesh)
+        reconstruct_gn(tiny_rmat, np.zeros(927), tiny_mesh)
 
 
 def test_config_validation():

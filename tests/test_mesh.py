@@ -217,3 +217,10 @@ def test_degenerate_refinement_rejected():
         RefinementSpec(near=2.0, far=1.0).validate()
     with pytest.raises(MeshingError):
         RefinementSpec(near=0.4, far=8.0, growth=0.9).validate()
+
+
+@pytest.mark.parametrize("seed", [None, 1.5, -1])
+def test_seed_must_be_a_nonnegative_integer(seed):
+    with pytest.raises(MeshingError, match="seed"):
+        RefinementSpec(seed=seed).validate()
+    RefinementSpec(seed=np.int64(3)).validate()
