@@ -29,14 +29,13 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .errors import (DimensionError, EitProbeError, GeometryError,
-                     ProvenanceError)
+from .errors import DimensionError, EitProbeError, ProvenanceError
 from .forward import (MeasurementSchedule, StimPattern, VoltageFrame,
                       assemble_system, solve_forward, write_frame_csv,
                       read_frame_csv)
 from .gn import ReconstructionMatrix, element_to_nodal, reconstruct_gn
 from .ioutil import canonical_json_bytes, read_f64, write_f64
-from .mesh import Mesh, elements_in_ellipsoid
+from .mesh import Mesh, TankGeometry, elements_in_ellipsoid
 
 DEFAULT_SEMI_AXES = (4.0, 6.0, 9.0)
 DEFAULT_SIGMA_IN = 0.3
@@ -88,15 +87,14 @@ class TargetSpec:
 
 @dataclass(frozen=True)
 class SampleBounds:
-    """Placement envelope for random targets."""
+    """Placement envelope for random targets; the probe they are placed
+    around is the mesh's own (``TankGeometry``)."""
 
     max_distance: float = 10.0
     z_band: float = 2.0
     semi_axes: tuple = DEFAULT_SEMI_AXES
     sigma_in: float = DEFAULT_SIGMA_IN
     sigma_bg: float = DEFAULT_SIGMA_BG
-    probe_radius: float = 1.0
-    probe_half_height: float = 2.0
 
     def validate(self) -> None:
         if not self.max_distance > 0:
@@ -105,8 +103,6 @@ class SampleBounds:
             raise ValueError("z_band must be nonnegative")
         if not all(a > 0 for a in self.semi_axes):
             raise ValueError("semi-axes must be positive")
-        if not (self.probe_radius > 0 and self.probe_half_height > 0):
-            raise ValueError("probe dimensions must be positive")
 
     def to_dict(self) -> dict:
         return {
@@ -115,8 +111,6 @@ class SampleBounds:
             "semi_axes": list(self.semi_axes),
             "sigma_in": self.sigma_in,
             "sigma_bg": self.sigma_bg,
-            "probe_radius": self.probe_radius,
-            "probe_half_height": self.probe_half_height,
         }
 
 
@@ -194,16 +188,17 @@ def _edge_distance(rot: np.ndarray, center, semi_axes, radius: float,
     return 0.0 if gap < 1e-12 else gap
 
 
-def target_probe_distance(target: TargetSpec, probe_radius: float = 1.0,
-                          probe_half_height: float = 2.0) -> float:
+def target_probe_distance(target: TargetSpec, geom: TankGeometry) -> float:
     """Edge-to-edge distance between the target ellipsoid and the probe
-    cylinder, accurate to 1e-10; overlapping bodies report zero."""
+    cylinder of ``geom``, accurate to 1e-10; overlapping bodies report
+    zero."""
     return _edge_distance(target.rotation_matrix(), target.center,
-                          target.semi_axes, probe_radius, probe_half_height)
+                          target.semi_axes, geom.probe_radius,
+                          geom.probe_height / 2.0)
 
 
 def _place_radius(azimuth: float, z0: float, distance: float, semi_axes,
-                  quat, bounds: SampleBounds) -> float:
+                  quat, geom: TankGeometry) -> float:
     """Center radius at which the target sits ``distance`` from the probe.
 
     Radial translation away from the probe can only grow the distance, so
@@ -214,10 +209,10 @@ def _place_radius(azimuth: float, z0: float, distance: float, semi_axes,
 
     def dist_at(rho: float) -> float:
         return _edge_distance(rot, (rho * ca, rho * sa, z0), semi_axes,
-                              bounds.probe_radius, bounds.probe_half_height,
+                              geom.probe_radius, geom.probe_height / 2.0,
                               threshold=distance)
 
-    hi = bounds.probe_radius + distance + max(semi_axes) + 1.0
+    hi = geom.probe_radius + distance + max(semi_axes) + 1.0
     for _ in range(60):
         if dist_at(hi) >= distance:
             break
@@ -232,16 +227,16 @@ def _place_radius(azimuth: float, z0: float, distance: float, semi_axes,
     return hi
 
 
-def sample_target(rng: np.random.Generator,
+def sample_target(rng: np.random.Generator, geom: TankGeometry,
                   bounds: SampleBounds = SampleBounds()) -> TargetSpec:
-    """Draw one target: uniform azimuth and height around the probe,
-    uniform edge-to-edge distance, uniform random orientation."""
+    """Draw one target: uniform azimuth and height around the probe of
+    ``geom``, uniform edge-to-edge distance, uniform random orientation."""
     bounds.validate()
     azimuth = rng.uniform(0.0, 2.0 * math.pi)
     z0 = rng.uniform(-bounds.z_band, bounds.z_band)
     distance = rng.uniform(0.0, bounds.max_distance)
     quat = tuple(float(v) for v in Rotation.random(random_state=rng).as_quat())
-    rho = _place_radius(azimuth, z0, distance, bounds.semi_axes, quat, bounds)
+    rho = _place_radius(azimuth, z0, distance, bounds.semi_axes, quat, geom)
     center = (rho * math.cos(azimuth), rho * math.sin(azimuth), z0)
     return TargetSpec(center=center, semi_axes=bounds.semi_axes, quat=quat,
                       sigma_in=bounds.sigma_in, sigma_bg=bounds.sigma_bg)
@@ -356,7 +351,7 @@ def make_sample(index: int, master_seed: int, gen_mesh: Mesh, inv_mesh: Mesh,
                 nm: NoiseModel, rmat: ReconstructionMatrix,
                 bounds: SampleBounds, v_ref: VoltageFrame) -> Sample:
     rng = np.random.default_rng(master_seed ^ index)
-    target = sample_target(rng, bounds)
+    target = sample_target(rng, gen_mesh.geometry, bounds)
     sigma = rasterize_target(gen_mesh, target)
     system = assemble_system(gen_mesh, sigma)
     v_clean = solve_forward(system, pattern, schedule)
@@ -365,8 +360,7 @@ def make_sample(index: int, master_seed: int, gen_mesh: Mesh, inv_mesh: Mesh,
     gn_image = reconstruct_gn(rmat, dv, inv_mesh)
     truth_sigma = rasterize_target(inv_mesh, target)
     truth_nodal = element_to_nodal(truth_sigma - target.sigma_bg, inv_mesh)
-    distance = target_probe_distance(target, bounds.probe_radius,
-                                     bounds.probe_half_height)
+    distance = target_probe_distance(target, gen_mesh.geometry)
     return Sample(index=index, target=target, distance=distance, sigma=sigma,
                   v_clean=v_clean, v_noisy=v_noisy, gn_image=gn_image,
                   truth_nodal=truth_nodal)
@@ -394,14 +388,6 @@ def gen_dataset(out_dir: str | Path, n: int, gen_mesh: Mesh, inv_mesh: Mesh,
     if master_seed < 0:
         raise ValueError("master_seed must be nonnegative")
     bounds.validate()
-    geom = gen_mesh.geometry
-    if not (math.isclose(bounds.probe_radius, geom.probe_radius)
-            and math.isclose(bounds.probe_half_height, geom.probe_height / 2)):
-        raise GeometryError(
-            f"bounds place targets around a probe of radius "
-            f"{bounds.probe_radius:g} and half-height "
-            f"{bounds.probe_half_height:g}, the mesh has radius "
-            f"{geom.probe_radius:g} and half-height {geom.probe_height / 2:g}")
     pattern.validate()
     nm = noise if noise is not None else NOISE_OFF
     nm.validate()

@@ -49,28 +49,25 @@ EITR_VERSION = 2
 
 @dataclass(frozen=True)
 class GnConfig:
-    """Regularization weight (against normalized operators), prior choice
-    and the background conductivity the Jacobian was linearized at."""
+    """Regularization weight (against normalized operators) and prior
+    choice. The linearization point is the Jacobian's own conductivity."""
 
     lam: float = DEFAULT_LAMBDA
     prior: str = "laplacian"
-    sigma_ref: float = 0.15
 
     def validate(self) -> None:
         if not (self.lam > 0 and math.isfinite(self.lam)):
             raise ValueError("lam must be positive and finite")
         if self.prior not in PRIORS:
             raise ValueError(f"prior must be one of {PRIORS}")
-        if not (self.sigma_ref > 0 and math.isfinite(self.sigma_ref)):
-            raise ValueError("sigma_ref must be positive and finite")
 
     def to_dict(self) -> dict:
-        return {"lam": self.lam, "prior": self.prior, "sigma_ref": self.sigma_ref}
+        return {"lam": self.lam, "prior": self.prior}
 
     @classmethod
     def from_dict(cls, data: dict) -> "GnConfig":
-        cfg = cls(lam=float(data["lam"]), prior=str(data["prior"]),
-                  sigma_ref=float(data["sigma_ref"]))
+        # other keys, such as the sigma_ref of older files, are ignored
+        cfg = cls(lam=float(data["lam"]), prior=str(data["prior"]))
         cfg.validate()
         return cfg
 
@@ -134,6 +131,9 @@ def _build(jac: Jacobian, mesh: Mesh, cfg: GnConfig,
     # volume puts coarse far elements and fine near elements on one scale
     sq = sum(np.linalg.norm(jmat[b] / vols) ** 2 for b in blocks)
     scale = math.sqrt(sq / n_meas)
+    if not 0 < scale < math.inf:
+        raise IllConditionedError(
+            f"Jacobian norm is {scale}: the matrix is zero or not finite")
     unscale = vols * scale
     lam2 = cfg.lam ** 2
     if cfg.prior == "tikhonov":

@@ -252,8 +252,7 @@ def full_report(mesh: Mesh, img: np.ndarray, target,
     missed, SD pinned at 100) and is tagged so sweeps can count such cases.
     """
     geom = mesh.geometry
-    distance = target_probe_distance(target, geom.probe_radius,
-                                     geom.probe_height / 2.0)
+    distance = target_probe_distance(target, geom)
     values = voxelize(mesh, img, spec)
     q = ellipsoid_form(target, spec)
     truth, roi = q <= 1.0, q <= 4.0

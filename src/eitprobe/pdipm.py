@@ -5,64 +5,52 @@ minimized functional is convex:
 
     F(x) = 1/2 ||J x - dv||^2 + alpha * sum_r sqrt((L x)_r^2 + beta^2)
 
-with L the face-difference operator. Each Newton system is solved inexactly
-by conjugate gradients on the matrix-free operator J'J + alpha L'DL, which
-never needs the normal matrix in memory. Several reconstructions can run
-through the iteration loop in lockstep so the dominant dense products become
-matrix-matrix multiplies; a single case is a batch of one.
-
-The Jacobian and data are normalized by the root-mean-square row norm of J
-before iterating, so alpha is calibrated against unit-scale operators.
+with L the face-difference operator. Each frame is solved on its own, as in
+Borsic et al. (IEEE TMI 29(1), 2010): every Newton system is solved
+inexactly by conjugate gradients on the matrix-free operator
+J'J + alpha L'DL, which never needs the normal matrix in memory. J and dv
+are normalized by the root-mean-square row norm of J before iterating, so
+alpha is calibrated against unit-scale operators.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
-from .errors import DimensionError, LineSearchError, ProvenanceError
-from .forward import Jacobian, VoltageFrame
+from .errors import (DimensionError, IllConditionedError, LineSearchError,
+                     ProvenanceError)
+from .forward import Jacobian
 from .mesh import Mesh
 
 DEFAULT_ALPHA = 0.03
 _ARMIJO_C = 1e-4
 _MAX_SHRINKS = 30
+_SHRINK = 0.5
+_CG_ITERS = 30
 _CG_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
 class PdipmConfig:
-    """TV weight, dual smoothing and stopping controls.
-
-    ``beta = None`` picks the smoothing scale from the data: 1e-4 times the
-    peak of an optimally scaled back-projection of dv.
-    """
+    """TV weight and stopping controls. The smoothing scale beta is always
+    taken from the data: 1e-4 times the peak of an optimally scaled
+    back-projection of dv, clipped to [1e-12, 1e-2]."""
 
     alpha: float = DEFAULT_ALPHA
-    beta: float | None = None
     max_iters: int = 100
     tol: float = 1e-6
-    shrink: float = 0.5
-    cg_iters: int = 30
 
     def validate(self) -> None:
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ValueError("alpha must be positive and finite")
-        if self.beta is not None and not (0 < self.beta <= 1e-2):
-            raise ValueError("beta must lie in (0, 1e-2]")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not (0 < self.tol < 1):
             raise ValueError("tol must lie in (0, 1)")
-        if not (0 < self.shrink < 1):
-            raise ValueError("shrink must lie in (0, 1)")
-        if self.cg_iters < 1:
-            raise ValueError("cg_iters must be at least 1")
 
 
 @dataclass(eq=False)
@@ -110,170 +98,116 @@ class ConvergenceTrace:
         return len(self.objective)
 
 
-def write_trace_csv(trace: ConvergenceTrace, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "objective", "step_len", "dual_max"])
-        for k in range(trace.n_iters):
-            writer.writerow([k + 1, repr(trace.objective[k]),
-                             repr(trace.step_len[k]), repr(trace.dual_max[k])])
-
-
-def _batched_cg(apply_op, rhs: np.ndarray, iters: int) -> np.ndarray:
-    """CG from zero on SPD columns; converged columns are frozen in place so
-    every column of the result is a descent direction for its rhs."""
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    p = r.copy()
-    rs = np.einsum("ij,ij->j", r, r)
+def _cg(apply_op, rhs: np.ndarray) -> np.ndarray:
+    """CG from zero on an SPD operator, stopped early or at a non-positive
+    curvature, so the result is always a descent direction for rhs."""
+    x, r, p = np.zeros_like(rhs), rhs.copy(), rhs.copy()
+    rs = r @ r
     tol2 = (_CG_RTOL ** 2) * rs
-    for _ in range(iters):
-        live = rs > tol2
-        if not live.any():
+    for _ in range(_CG_ITERS):
+        if rs <= tol2:
             break
         q = apply_op(p)
-        pq = np.einsum("ij,ij->j", p, q)
-        safe = np.where(live & (pq > 0), pq, 1.0)
-        a = np.where(live & (pq > 0), rs / safe, 0.0)
+        pq = p @ q
+        if pq <= 0:
+            break
+        a = rs / pq
         x += a * p
         r -= a * q
-        rs_new = np.einsum("ij,ij->j", r, r)
-        beta = np.where(live, rs_new / np.where(rs > 0, rs, 1.0), 0.0)
-        p = r + beta * p
+        rs_new = r @ r
+        p = r + (rs_new / rs) * p
         rs = rs_new
     return x
+
+
+def _solve(jn: np.ndarray, lop: csr_matrix, data: np.ndarray,
+           cfg: PdipmConfig) -> tuple[np.ndarray, ConvergenceTrace]:
+    """Interior-point iteration on one normalized frame."""
+    alpha = cfg.alpha
+    back = jn.T @ data
+    fit = jn @ back
+    den = fit @ fit
+    c = (data @ fit) / den if den > 0 else 0.0
+    beta = float(np.clip(1e-4 * np.abs(back * c).max(), 1e-12, 1e-2))
+
+    x, y = np.zeros(jn.shape[1]), np.zeros(lop.shape[0])
+    resid = -data
+    trace = ConvergenceTrace()
+
+    def objective(r, lx):
+        return 0.5 * (r @ r) + alpha * np.sqrt(lx * lx + beta * beta).sum()
+
+    for it in range(1, cfg.max_iters + 1):
+        t = lop @ x
+        phi = np.sqrt(t * t + beta * beta)
+        f_cur = objective(resid, t)
+        grad = jn.T @ resid + alpha * (lop.T @ (t / phi))
+        dual_w = (1.0 - y * t / phi) / phi
+
+        def apply_op(v):
+            return jn.T @ (jn @ v) + alpha * (lop.T @ (dual_w * (lop @ v)))
+
+        dx = _cg(apply_op, -grad)
+        q, ld, gdot = jn @ dx, lop @ dx, grad @ dx
+
+        s = 1.0
+        for _ in range(_MAX_SHRINKS + 1):
+            if objective(resid + s * q, t + s * ld) <= f_cur + _ARMIJO_C * s * gdot:
+                break
+            s *= _SHRINK
+        else:
+            if it == 1:
+                raise LineSearchError(
+                    "no sufficient-decrease step found on the first iteration")
+            trace.stopped_reason = "line_search"
+            break
+
+        x += s * dx
+        resid = resid + s * q
+        dy = (t / phi - y) + (1.0 - y * t / phi) * (s * ld) / phi
+        # longest step that keeps every moving entry inside the box
+        nz = dy != 0
+        y = y + ((np.sign(dy[nz]) - y[nz]) / dy[nz]).min(initial=1.0) * dy
+        if not np.all(np.abs(y) <= 1.0 + 1e-12):
+            raise LineSearchError("dual step left the feasible box |y| <= 1")
+        np.clip(y, -1.0, 1.0, out=y)
+
+        f_new = objective(resid, t + s * ld)
+        trace.objective.append(float(f_new))
+        trace.step_len.append(float(s))
+        trace.dual_max.append(float(np.abs(y).max()))
+        if (f_cur - f_new) / max(abs(f_new), 1e-300) <= cfg.tol:
+            trace.stopped_reason = "tol"
+            break
+    return x, trace
 
 
 def reconstruct_pdipm_batch(jac: Jacobian, tv: TvOperator, dv: np.ndarray,
                             cfg: PdipmConfig,
                             ) -> tuple[np.ndarray, list[ConvergenceTrace]]:
-    """Run the interior-point iteration on one or more dv columns at once.
-
-    Returns the per-element images as columns and one trace per column.
-    """
+    """One interior-point solve per dv column (a vector is one column).
+    Returns the per-element images as columns and one trace per column."""
     cfg.validate()
     if tv.mesh_id != jac.mesh_id:
         raise ProvenanceError("TV operator and Jacobian come from different meshes")
     dv = np.asarray(dv, dtype=np.float64)
-    single = dv.ndim == 1
-    dv = dv[:, None] if single else dv
+    dv = dv[:, None] if dv.ndim == 1 else dv
     jmat = jac.matrix
     if dv.shape[0] != jmat.shape[0]:
         raise DimensionError("dv length does not match the measurement count")
     if tv.matrix.shape[1] != jmat.shape[1]:
         raise DimensionError("TV operator and Jacobian disagree on element count")
+    if not np.all(np.isfinite(dv)):
+        raise ValueError("dv must be finite everywhere")
 
-    n_meas, n_cols = dv.shape
-    scale = np.linalg.norm(jmat) / math.sqrt(n_meas)
+    scale = np.linalg.norm(jmat) / math.sqrt(jmat.shape[0])
+    if not 0 < scale < math.inf:
+        raise IllConditionedError(
+            f"Jacobian norm is {scale}: the matrix is zero or not finite")
     jn = jmat / scale
-    data = dv / scale
-    lop = tv.matrix
-    alpha = cfg.alpha
-
-    if cfg.beta is None:
-        back = jn.T @ data
-        fit = jn @ back
-        den = np.einsum("ij,ij->j", fit, fit)
-        num = np.einsum("ij,ij->j", data, fit)
-        c = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-        beta = np.clip(1e-4 * np.max(np.abs(back * c), axis=0), 1e-12, 1e-2)
-    else:
-        beta = np.full(n_cols, cfg.beta)
-
-    x = np.zeros((jmat.shape[1], n_cols))
-    y = np.zeros((lop.shape[0], n_cols))
-    resid = -data.copy()
-    traces = [ConvergenceTrace() for _ in range(n_cols)]
-    active = np.ones(n_cols, dtype=bool)
-
-    for it in range(1, cfg.max_iters + 1):
-        act = np.flatnonzero(active)
-        if act.size == 0:
-            break
-        xa, ya, ra, ba = x[:, act], y[:, act], resid[:, act], beta[act]
-        t = lop @ xa
-        phi = np.sqrt(t * t + ba * ba)
-        f_cur = 0.5 * np.einsum("ij,ij->j", ra, ra) + alpha * phi.sum(axis=0)
-        grad = jn.T @ ra + alpha * (lop.T @ (t / phi))
-        dual_w = (1.0 - ya * t / phi) / phi
-
-        def apply_op(v):
-            return jn.T @ (jn @ v) + alpha * (lop.T @ (dual_w * (lop @ v)))
-
-        dx = _batched_cg(apply_op, -grad, cfg.cg_iters)
-        q = jn @ dx
-        ld = lop @ dx
-        gdot = np.einsum("ij,ij->j", grad, dx)
-
-        s = np.ones(act.size)
-        accepted = np.zeros(act.size, dtype=bool)
-        for _ in range(_MAX_SHRINKS + 1):
-            trial = np.flatnonzero(~accepted)
-            if trial.size == 0:
-                break
-            st = s[trial]
-            f_try = (0.5 * np.einsum("ij,ij->j",
-                                     ra[:, trial] + st * q[:, trial],
-                                     ra[:, trial] + st * q[:, trial])
-                     + alpha * np.sqrt((t[:, trial] + st * ld[:, trial]) ** 2
-                                       + ba[trial] ** 2).sum(axis=0))
-            ok = f_try <= f_cur[trial] + _ARMIJO_C * st * gdot[trial]
-            accepted[trial[ok]] = True
-            s[trial[~ok]] *= cfg.shrink
-
-        if not accepted.all():
-            if it == 1:
-                raise LineSearchError(
-                    "no sufficient-decrease step found on the first iteration")
-            for k in np.flatnonzero(~accepted):
-                traces[act[k]].stopped_reason = "line_search"
-                active[act[k]] = False
-
-        upd = np.flatnonzero(accepted)
-        if upd.size == 0:
-            continue
-        cols = act[upd]
-        su = s[upd]
-        x[:, cols] += su * dx[:, upd]
-        resid[:, cols] = ra[:, upd] + su * q[:, upd]
-
-        tn, pn, yu = t[:, upd], phi[:, upd], ya[:, upd]
-        dy = (tn / pn - yu) + (1.0 - yu * tn / pn) * (su * ld[:, upd]) / pn
-        lim = np.full_like(dy, np.inf)
-        pos, neg = dy > 0, dy < 0
-        lim[pos] = (1.0 - yu[pos]) / dy[pos]
-        lim[neg] = (-1.0 - yu[neg]) / dy[neg]
-        sd = np.minimum(1.0, lim.min(axis=0))
-        ynew = yu + sd * dy
-        if not np.all(np.abs(ynew) <= 1.0 + 1e-12):
-            raise LineSearchError("dual step left the feasible box |y| <= 1")
-        np.clip(ynew, -1.0, 1.0, out=ynew)
-        y[:, cols] = ynew
-
-        f_new = (0.5 * np.einsum("ij,ij->j", resid[:, cols], resid[:, cols])
-                 + alpha * np.sqrt((tn + su * ld[:, upd]) ** 2
-                                   + ba[upd] ** 2).sum(axis=0))
-        rel = (f_cur[upd] - f_new) / np.maximum(np.abs(f_new), 1e-300)
-        for j, col in enumerate(cols):
-            traces[col].objective.append(float(f_new[j]))
-            traces[col].step_len.append(float(su[j]))
-            traces[col].dual_max.append(float(np.abs(y[:, col]).max()))
-            if rel[j] <= cfg.tol:
-                traces[col].stopped_reason = "tol"
-                active[col] = False
-
-    return x, traces
-
-
-def reconstruct_pdipm(mesh: Mesh, jac: Jacobian, tv: TvOperator,
-                      v_meas: VoltageFrame, v_ref: VoltageFrame,
-                      cfg: PdipmConfig,
-                      ) -> tuple[np.ndarray, ConvergenceTrace]:
-    """Per-element TV reconstruction of one measurement frame."""
-    if jac.mesh_id != mesh.mesh_id or tv.mesh_id != mesh.mesh_id:
-        raise ProvenanceError("Jacobian or TV operator built on a different mesh")
-    if v_meas.schedule_id != jac.schedule_id or v_ref.schedule_id != jac.schedule_id:
-        raise ProvenanceError("voltage frames do not match the Jacobian schedule")
-    dv = v_meas.values - v_ref.values
-    images, traces = reconstruct_pdipm_batch(jac, tv, dv, cfg)
-    return images[:, 0], traces[0]
+    images = np.empty((jmat.shape[1], dv.shape[1]))
+    traces = []
+    for k in range(dv.shape[1]):
+        images[:, k], trace = _solve(jn, tv.matrix, dv[:, k] / scale, cfg)
+        traces.append(trace)
+    return images, traces

@@ -6,6 +6,8 @@ is the default tank and probe at the default refinement, built once per
 session for the mesh-size tests.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,13 @@ def tiny_mesh(tiny_geom) -> Mesh:
 
 
 @pytest.fixture(scope="session")
+def big_probe_mesh() -> Mesh:
+    """The tiny tank around a wider, taller probe than the default one."""
+    geom = TankGeometry(probe_radius=1.5, probe_height=6.0, tank_height=16.0)
+    return build_mesh(geom, TINY_DENSITY)
+
+
+@pytest.fixture(scope="session")
 def tiny_mesh_alt(tiny_geom) -> Mesh:
     """Same geometry, different interior jitter; for provenance tests."""
     return build_mesh(tiny_geom, RefinementSpec(near=1.2, far=12.0,
@@ -45,6 +54,14 @@ def tiny_schedule(tiny_geom):
 def tiny_jacobian(tiny_mesh, tiny_schedule):
     sigma = homogeneous_field(tiny_mesh, SIGMA_REF)
     return compute_jacobian(tiny_mesh, sigma, StimPattern(), tiny_schedule)
+
+
+@pytest.fixture
+def tiny_jacobian_nan(tiny_jacobian):
+    """The tiny Jacobian with one NaN entry."""
+    matrix = tiny_jacobian.matrix.copy()
+    matrix[3, 5] = np.nan
+    return dataclasses.replace(tiny_jacobian, matrix=matrix)
 
 
 @pytest.fixture(scope="session")

@@ -13,12 +13,15 @@ from eitprobe.datagen import (NOISE_OFF, NoiseModel, SampleBounds, TargetSpec,
                               load_training_arrays, pair_separations,
                               rasterize_target, sample_target,
                               snr_per_measurement, target_probe_distance)
-from eitprobe.errors import GeometryError, ProvenanceError
+from eitprobe.errors import ProvenanceError
 from eitprobe.forward import MeasurementSchedule, VoltageFrame
-from eitprobe.mesh import (RefinementSpec, TankGeometry, build_mesh,
-                           elements_in_ellipsoid)
+from eitprobe.gn import element_to_nodal
+from eitprobe.mesh import TankGeometry, elements_in_ellipsoid
+from eitprobe.metrics import full_report
 
 IDENTITY_QUAT = (0.0, 0.0, 0.0, 1.0)
+# the default probe: radius 1, half-height 2
+GEOM = TankGeometry()
 TINY_BOUNDS = SampleBounds(max_distance=3.0, semi_axes=(1.0, 1.5, 2.0))
 
 
@@ -26,8 +29,8 @@ TINY_BOUNDS = SampleBounds(max_distance=3.0, semi_axes=(1.0, 1.5, 2.0))
 def draws():
     rng = np.random.default_rng(42)
     bounds = SampleBounds()
-    targets = [sample_target(rng, bounds) for _ in range(1000)]
-    dist = np.array([target_probe_distance(t) for t in targets])
+    targets = [sample_target(rng, GEOM, bounds) for _ in range(1000)]
+    dist = np.array([target_probe_distance(t, GEOM) for t in targets])
     return targets, dist
 
 
@@ -67,8 +70,8 @@ def _fibonacci_sphere(n):
 
 class TestTargetSampling:
     def test_fixed_seed_identical(self):
-        a = sample_target(np.random.default_rng(5))
-        b = sample_target(np.random.default_rng(5))
+        a = sample_target(np.random.default_rng(5), GEOM)
+        b = sample_target(np.random.default_rng(5), GEOM)
         assert a == b
 
     def test_all_draws_within_bound(self, draws):
@@ -92,7 +95,7 @@ class TestTargetSampling:
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
-            sample_target(np.random.default_rng(0),
+            sample_target(np.random.default_rng(0), GEOM,
                           SampleBounds(max_distance=0.0))
 
     def test_spec_roundtrip_and_validation(self):
@@ -120,7 +123,7 @@ class TestDistanceKernel:
         ]
         for (center, axes), want in cases:
             t = TargetSpec(center=center, semi_axes=axes, quat=IDENTITY_QUAT)
-            assert target_probe_distance(t) == pytest.approx(want, abs=1e-9)
+            assert target_probe_distance(t, GEOM) == pytest.approx(want, abs=1e-9)
 
     def test_matches_surface_sampling_oracle(self, draws):
         # sampling the ellipsoid surface can only overestimate the true
@@ -139,7 +142,7 @@ class TestDistanceKernel:
         for rho in (2.0, 4.0, 7.0, 11.0):
             t = TargetSpec(center=(rho, 0.5, 1.0), semi_axes=(1.0, 1.5, 2.0),
                            quat=IDENTITY_QUAT)
-            d = target_probe_distance(t)
+            d = target_probe_distance(t, GEOM)
             assert d >= prev
             prev = d
 
@@ -160,7 +163,7 @@ class TestRasterize:
     def test_matches_centroid_oracle(self, tiny_mesh):
         rng = np.random.default_rng(3)
         for _ in range(5):
-            t = sample_target(rng, TINY_BOUNDS)
+            t = sample_target(rng, GEOM, TINY_BOUNDS)
             sigma = rasterize_target(tiny_mesh, t)
             rot = _quat_matrix(t.quat)
             body = (tiny_mesh.centroids - np.asarray(t.center)) @ rot
@@ -299,19 +302,17 @@ class TestDataset:
             gen_dataset(tmp_path / "y", 1, tiny_mesh_alt, tiny_mesh,
                         shifted, tiny_rmat, bounds=TINY_BOUNDS)
 
-    def test_bounds_must_match_the_mesh_probe(self, tmp_path, tiny_mesh,
-                                              tiny_schedule, tiny_rmat):
-        wide = build_mesh(TankGeometry(probe_radius=1.5, probe_height=6.0,
-                                       tank_height=16.0),
-                          RefinementSpec(near=1.2, far=12.0, growth=2.2))
-        with pytest.raises(GeometryError, match="probe"):
-            gen_dataset(tmp_path / "x", 1, wide, tiny_mesh, tiny_schedule,
-                        tiny_rmat)
-        # matching bounds pass the geometry check and reach provenance
-        bounds = SampleBounds(probe_radius=1.5, probe_half_height=3.0)
-        with pytest.raises(ProvenanceError, match="identical"):
-            gen_dataset(tmp_path / "y", 1, wide, wide, tiny_schedule,
-                        tiny_rmat, bounds=bounds)
+    def test_distance_is_measured_to_the_mesh_probe(self, tmp_path, tiny_mesh,
+                                                    big_probe_mesh,
+                                                    tiny_schedule, tiny_rmat):
+        wide = big_probe_mesh
+        manifest = gen_dataset(tmp_path, 1, wide, tiny_mesh, tiny_schedule,
+                               tiny_rmat, bounds=TINY_BOUNDS)
+        doc = json.loads((tmp_path / manifest["samples"][0] / "target.json")
+                         .read_bytes())
+        t = TargetSpec.from_dict(doc)
+        truth = element_to_nodal(rasterize_target(wide, t) - t.sigma_bg, wide)
+        assert doc["distance"] == full_report(wide, truth, t).distance
 
     def test_manifest_and_arrays(self, tiny_dataset, tiny_mesh, tiny_mesh_alt,
                                  tiny_schedule):
@@ -334,14 +335,14 @@ class TestDataset:
         assert data.truth.max() <= 0.15 + 1e-12
         assert data.truth.max() > 0.0
 
-    def test_target_json_consistent(self, tiny_dataset):
+    def test_target_json_consistent(self, tiny_dataset, tiny_mesh_alt):
         root, manifest = tiny_dataset
         doc = json.loads((root / manifest["samples"][0] / "target.json")
                          .read_bytes())
         t = TargetSpec.from_dict(doc)
         t.validate()
-        assert doc["distance"] == pytest.approx(target_probe_distance(t),
-                                                abs=1e-9)
+        assert doc["distance"] == pytest.approx(
+            target_probe_distance(t, tiny_mesh_alt.geometry), abs=1e-9)
 
     def test_load_with_wrong_schedule(self, tiny_dataset, tiny_schedule):
         root, _ = tiny_dataset

@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from eitprobe.errors import DimensionError, ProvenanceError
+from eitprobe.errors import DimensionError, IllConditionedError, ProvenanceError
 from eitprobe.forward import VoltageFrame
-from eitprobe.gn import (GnConfig, _element_reconstruction_matrix,
+from eitprobe.gn import (PRIORS, GnConfig, _element_reconstruction_matrix,
                          build_reconstruction_matrix, element_to_nodal,
                          load_matrix, reconstruct_gn, save_matrix,
                          smoothness_prior)
@@ -188,7 +188,19 @@ def test_config_validation():
         GnConfig(lam=0.0).validate()
     with pytest.raises(ValueError, match="prior"):
         GnConfig(prior="ridge").validate()
-    with pytest.raises(ValueError, match="sigma_ref"):
-        GnConfig(sigma_ref=-1.0).validate()
     cfg = GnConfig.from_dict(GnConfig().to_dict())
     assert cfg == GnConfig()
+
+
+def test_config_from_a_dict_that_still_carries_sigma_ref():
+    # EITR v2 files that carry a sigma_ref key must still load
+    cfg = GnConfig.from_dict({"lam": 0.01, "prior": "tikhonov",
+                              "sigma_ref": 0.15})
+    assert cfg == GnConfig(lam=0.01, prior="tikhonov")
+
+
+@pytest.mark.parametrize("prior", PRIORS)
+def test_non_finite_jacobian_refused(tiny_jacobian_nan, tiny_mesh, prior):
+    with pytest.raises(IllConditionedError, match="Jacobian"):
+        build_reconstruction_matrix(tiny_jacobian_nan, tiny_mesh,
+                                    GnConfig(prior=prior))

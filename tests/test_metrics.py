@@ -11,7 +11,6 @@ from eitprobe.datagen import TargetSpec, rasterize_target
 from eitprobe.gn import element_to_nodal
 from eitprobe.metrics import (GridSpec, ellipsoid_surface_area, full_report,
                               get_voxelizer)
-from eitprobe.mesh import RefinementSpec, TankGeometry, build_mesh
 
 COARSE_GRID = GridSpec(dims=16)
 # covers the tiny tank's full height at half a probe radius per voxel
@@ -89,12 +88,6 @@ def _assert_matches(report, expected: dict) -> None:
 @pytest.fixture(scope="module")
 def located(tiny_mesh):
     return _locate(tiny_mesh, _centers(COARSE_GRID))
-
-
-@pytest.fixture(scope="module")
-def big_probe_mesh():
-    geom = TankGeometry(probe_radius=1.5, probe_height=6.0, tank_height=16.0)
-    return build_mesh(geom, RefinementSpec(near=1.2, far=12.0, growth=2.2))
 
 
 # --- voxelizer -----------------------------------------------------------------

@@ -3,9 +3,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from eitprobe.errors import DimensionError, ProvenanceError
-from eitprobe.pdipm import (PdipmConfig, build_tv_operator,
-                            reconstruct_pdipm_batch, write_trace_csv)
+from eitprobe.errors import DimensionError, IllConditionedError, ProvenanceError
+from eitprobe.pdipm import PdipmConfig, build_tv_operator, reconstruct_pdipm_batch
 
 BALL_CENTER = np.array([1.6, 0.0, 0.0])
 
@@ -112,12 +111,10 @@ def test_batch_agrees_with_single_runs(tiny_mesh, tiny_jacobian, tv, ball_dv):
     batch = np.column_stack([ball_dv, dv2])
     cfg = PdipmConfig(alpha=1e-3, max_iters=45)
     xb, tb = reconstruct_pdipm_batch(tiny_jacobian, tv, batch, cfg)
-    xs, ts = reconstruct_pdipm_batch(tiny_jacobian, tv, batch[:, 0], cfg)
-    # CG rounding makes iterate paths differ between gemm widths; the
-    # minimizers they approach must still agree
-    f_b, f_s = tb[0].objective[-1], ts[0].objective[-1]
-    assert abs(f_b - f_s) <= 2e-2 * abs(f_s)
-    assert np.abs(xb[:, 0] - xs[:, 0]).max() <= 1e-2 * np.abs(xs).max()
+    for k in range(2):
+        xs, ts = reconstruct_pdipm_batch(tiny_jacobian, tv, batch[:, k], cfg)
+        assert np.array_equal(xb[:, k], xs[:, 0])
+        assert tb[k].objective == ts[0].objective
 
 
 def test_batch_rerun_bit_identical(tiny_jacobian, tv, ball_dv):
@@ -125,18 +122,6 @@ def test_batch_rerun_bit_identical(tiny_jacobian, tv, ball_dv):
     a, _ = reconstruct_pdipm_batch(tiny_jacobian, tv, ball_dv, cfg)
     b, _ = reconstruct_pdipm_batch(tiny_jacobian, tv, ball_dv, cfg)
     assert np.array_equal(a, b)
-
-
-def test_trace_csv_schema(solved, tmp_path):
-    _x, trace = solved
-    path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "iter,objective,step_len,dual_max"
-    assert len(lines) == trace.n_iters + 1
-    first = lines[1].split(",")
-    assert int(first[0]) == 1
-    assert float(first[1]) == trace.objective[0]
 
 
 def test_mesh_provenance_enforced(tiny_mesh_alt, tiny_jacobian, ball_dv):
@@ -150,7 +135,17 @@ def test_input_validation(tiny_jacobian, tv):
     with pytest.raises(DimensionError):
         reconstruct_pdipm_batch(tiny_jacobian, tv, np.zeros(5),
                                 PdipmConfig(alpha=1e-3))
-    for bad in (PdipmConfig(alpha=0.0), PdipmConfig(alpha=1.0, beta=0.5),
-                PdipmConfig(alpha=1.0, tol=2.0), PdipmConfig(alpha=1.0, shrink=1.5)):
+    for bad in (PdipmConfig(alpha=0.0), PdipmConfig(alpha=1.0, tol=2.0)):
         with pytest.raises(ValueError):
             bad.validate()
+
+
+def test_non_finite_inputs_refused(tiny_jacobian, tiny_jacobian_nan, tv,
+                                   ball_dv):
+    with pytest.raises(IllConditionedError):
+        reconstruct_pdipm_batch(tiny_jacobian_nan, tv, ball_dv,
+                                PdipmConfig(alpha=1e-3))
+    dv = ball_dv.copy()
+    dv[7] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        reconstruct_pdipm_batch(tiny_jacobian, tv, dv, PdipmConfig(alpha=1e-3))
