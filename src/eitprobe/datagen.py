@@ -332,7 +332,6 @@ class Sample:
     index: int
     target: TargetSpec
     distance: float
-    sigma: np.ndarray        # generation-mesh elements
     v_clean: VoltageFrame
     v_noisy: VoltageFrame
     gn_image: np.ndarray     # inverse-mesh nodes
@@ -361,7 +360,7 @@ def make_sample(index: int, master_seed: int, gen_mesh: Mesh, inv_mesh: Mesh,
     truth_sigma = rasterize_target(inv_mesh, target)
     truth_nodal = element_to_nodal(truth_sigma - target.sigma_bg, inv_mesh)
     distance = target_probe_distance(target, gen_mesh.geometry)
-    return Sample(index=index, target=target, distance=distance, sigma=sigma,
+    return Sample(index=index, target=target, distance=distance,
                   v_clean=v_clean, v_noisy=v_noisy, gn_image=gn_image,
                   truth_nodal=truth_nodal)
 
@@ -463,7 +462,6 @@ class DatasetArrays:
     gn_images: np.ndarray  # (n, n_nodes)
     truth: np.ndarray      # (n, n_nodes)
     distances: np.ndarray  # (n,)
-    manifest: dict
 
 
 def load_training_arrays(path: str | Path,
@@ -484,5 +482,4 @@ def load_training_arrays(path: str | Path,
         truth.append(read_f64(sdir / "truth.f64"))
         dist.append(doc["distance"])
     return DatasetArrays(dv=np.array(dv), gn_images=np.array(gn),
-                         truth=np.array(truth), distances=np.array(dist),
-                         manifest=manifest)
+                         truth=np.array(truth), distances=np.array(dist))

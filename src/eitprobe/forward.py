@@ -169,19 +169,12 @@ class SparseSystem:
     """Assembled CEM system for one conductivity field."""
 
     mesh: Mesh
-    sigma: np.ndarray
-    contact_impedance: float
     matrix: csc_matrix           # full (n_nodes + n_el) square, symmetric
-    electrode_areas: np.ndarray
     ground_index: int
 
     @property
     def n_nodes(self) -> int:
         return self.mesh.n_nodes
-
-    @property
-    def n_electrodes(self) -> int:
-        return self.mesh.n_electrodes
 
     @cached_property
     def _reduced(self):
@@ -248,10 +241,8 @@ def assemble_system(mesh: Mesh, sigma: np.ndarray,
     vals = [ke.ravel()]
 
     z = contact_impedance
-    areas = np.empty(l)
     for k, patch in enumerate(mesh.electrodes):
         fa = _face_areas(mesh.nodes, patch)
-        areas[k] = fa.sum()
         # boundary mass: int phi_i phi_j over each patch face
         mass = (np.ones((3, 3)) + np.eye(3)) / 12.0
         mvals = mass[None, :, :] * fa[:, None, None] / z
@@ -269,7 +260,7 @@ def assemble_system(mesh: Mesh, sigma: np.ndarray,
         vals.extend([-w, -w])
         rows.append(np.array([n + k]))
         cols.append(np.array([n + k]))
-        vals.append(np.array([areas[k] / z]))
+        vals.append(np.array([fa.sum() / z]))
 
     full = coo_matrix((np.concatenate(vals),
                        (np.concatenate(rows), np.concatenate(cols))),
@@ -289,9 +280,7 @@ def assemble_system(mesh: Mesh, sigma: np.ndarray,
     # equation inside the reduced system, so computed electrode currents
     # satisfy conservation to the solver residual rather than to the
     # (looser) assembly column-sum noise
-    return SparseSystem(mesh=mesh, sigma=sigma, contact_impedance=z,
-                        matrix=full, electrode_areas=areas,
-                        ground_index=0)
+    return SparseSystem(mesh=mesh, matrix=full, ground_index=0)
 
 
 def _injection_rhs(system: SparseSystem, schedule: MeasurementSchedule,
@@ -330,9 +319,6 @@ class Jacobian:
     matrix: np.ndarray       # (n_measurements, n_elements)
     mesh_id: str
     schedule_id: str
-    sigma: np.ndarray
-    contact_impedance: float
-    amplitude: float
 
 
 def compute_jacobian(mesh: Mesh, sigma: np.ndarray,
@@ -362,9 +348,7 @@ def compute_jacobian(mesh: Mesh, sigma: np.ndarray,
         k += len(ret)
     out *= -pattern.amplitude * vols[None, :]
     return Jacobian(matrix=out, mesh_id=mesh.mesh_id,
-                    schedule_id=schedule.schedule_id, sigma=sigma.copy(),
-                    contact_impedance=contact_impedance,
-                    amplitude=pattern.amplitude)
+                    schedule_id=schedule.schedule_id)
 
 
 # --- frame persistence -------------------------------------------------------

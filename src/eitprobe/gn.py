@@ -18,11 +18,9 @@ element-by-measurement array beyond one block is held besides the Jacobian.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -32,7 +30,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import DimensionError, IllConditionedError, ProvenanceError
 from .forward import Jacobian, VoltageFrame
-from .ioutil import ByteReader, canonical_json_bytes, hash_of, pack_str, pack_u32
+from .ioutil import hash_of
 from .mesh import Mesh
 from .pdipm import build_tv_operator
 
@@ -43,14 +41,12 @@ _PRIOR_RIDGE = 1e-8
 # set at a few element-by-block arrays
 _BLOCK_COLUMNS = 128
 
-EITR_MAGIC = b"EITR"
-EITR_VERSION = 2
-
 
 @dataclass(frozen=True)
 class GnConfig:
     """Regularization weight (against normalized operators) and prior
-    choice. The linearization point is the Jacobian's own conductivity."""
+    choice. The linearization point is the conductivity the Jacobian was
+    computed at."""
 
     lam: float = DEFAULT_LAMBDA
     prior: str = "laplacian"
@@ -63,13 +59,6 @@ class GnConfig:
 
     def to_dict(self) -> dict:
         return {"lam": self.lam, "prior": self.prior}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GnConfig":
-        # other keys, such as the sigma_ref of older files, are ignored
-        cfg = cls(lam=float(data["lam"]), prior=str(data["prior"]))
-        cfg.validate()
-        return cfg
 
 
 @dataclass(eq=False)
@@ -200,36 +189,3 @@ def reconstruct_gn(rmat: ReconstructionMatrix, dv, mesh: Mesh) -> np.ndarray:
     if values.shape != (rmat.matrix.shape[1],):
         raise DimensionError("voltage difference length does not match the matrix")
     return rmat.matrix @ values
-
-
-def save_matrix(rmat: ReconstructionMatrix, path: str | Path) -> None:
-    cfg_json = canonical_json_bytes(rmat.config.to_dict()).decode("utf-8")
-    blob = b"".join([
-        EITR_MAGIC,
-        pack_u32(EITR_VERSION),
-        pack_u32(rmat.matrix.shape[0]),
-        pack_u32(rmat.matrix.shape[1]),
-        pack_str(rmat.mesh_id),
-        pack_str(rmat.schedule_id),
-        pack_str(cfg_json),
-        np.ascontiguousarray(rmat.matrix, dtype="<f8").tobytes(),
-    ])
-    Path(path).write_bytes(blob)
-
-
-def load_matrix(path: str | Path) -> ReconstructionMatrix:
-    reader = ByteReader(Path(path).read_bytes())
-    if reader.bytes(4) != EITR_MAGIC:
-        raise ValueError("not a reconstruction matrix file")
-    version = reader.u32()
-    if version != EITR_VERSION:
-        raise ValueError(f"unsupported matrix file version {version}")
-    rows, cols = reader.u32(), reader.u32()
-    mesh_id = reader.str_()
-    schedule_id = reader.str_()
-    cfg = GnConfig.from_dict(json.loads(reader.str_()))
-    matrix = reader.f64_array(rows * cols).reshape(rows, cols)
-    if not reader.at_end():
-        raise ValueError("trailing bytes in matrix file")
-    return ReconstructionMatrix(matrix=matrix, mesh_id=mesh_id,
-                                schedule_id=schedule_id, config=cfg)

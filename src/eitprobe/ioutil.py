@@ -1,8 +1,9 @@
 """Serialization helpers: canonical JSON, hashing, raw float64 vectors.
 
-All binary formats in this package are little-endian regardless of host
-byte order. Canonical JSON (sorted keys, compact separators, repr floats)
-is used wherever a byte-stable file or hash is required.
+The package keeps no binary container format. The only binary files are
+flat vectors of raw little-endian float64, whatever the host byte order.
+Canonical JSON (sorted keys, compact separators, repr floats) is used
+wherever a byte-stable file or hash is required.
 """
 
 from __future__ import annotations
@@ -37,55 +38,3 @@ def write_f64(path: str | Path, values: np.ndarray) -> None:
 def read_f64(path: str | Path) -> np.ndarray:
     data = Path(path).read_bytes()
     return np.frombuffer(data, dtype="<f8").copy()
-
-
-def pack_u32(value: int) -> bytes:
-    return np.uint32(value).astype("<u4").tobytes()
-
-
-def pack_u8(value: int) -> bytes:
-    return bytes([value])
-
-
-def pack_f64(value: float) -> bytes:
-    return np.float64(value).astype("<f8").tobytes()
-
-
-def pack_str(s: str) -> bytes:
-    """Length-prefixed UTF-8 string (u32 length)."""
-    raw = s.encode("utf-8")
-    return pack_u32(len(raw)) + raw
-
-
-class ByteReader:
-    """Sequential reader for the binary container formats."""
-
-    def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
-
-    def bytes(self, n: int) -> bytes:
-        chunk = self._data[self._pos:self._pos + n]
-        if len(chunk) != n:
-            raise ValueError("truncated container")
-        self._pos += n
-        return chunk
-
-    def u32(self) -> int:
-        return int(np.frombuffer(self.bytes(4), dtype="<u4")[0])
-
-    def u8(self) -> int:
-        return self.bytes(1)[0]
-
-    def f64(self) -> float:
-        return float(np.frombuffer(self.bytes(8), dtype="<f8")[0])
-
-    def f64_array(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.bytes(8 * count), dtype="<f8").copy()
-
-    def str_(self) -> str:
-        n = self.u32()
-        return self.bytes(n).decode("utf-8")
-
-    def at_end(self) -> bool:
-        return self._pos == len(self._data)

@@ -15,11 +15,9 @@ rectangles, so each patch is a fixed set of whole boundary faces.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -104,18 +102,6 @@ class TankGeometry:
             "electrodes_per_layer": self.electrodes_per_layer,
             "electrode_size": list(self.electrode_size),
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "TankGeometry":
-        return TankGeometry(
-            probe_radius=d["probe_radius"],
-            probe_height=d["probe_height"],
-            tank_radius=d["tank_radius"],
-            tank_height=d["tank_height"],
-            layers=d["layers"],
-            electrodes_per_layer=d["electrodes_per_layer"],
-            electrode_size=tuple(d["electrode_size"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -631,10 +617,11 @@ def elements_in_ellipsoid(mesh: Mesh, target) -> np.ndarray:
     return np.where(inside)[0]
 
 
-# --- persistence -------------------------------------------------------------
+# --- identity ----------------------------------------------------------------
 
 
 def mesh_to_json_bytes(mesh: Mesh) -> bytes:
+    """Canonical JSON of the whole mesh; its sha256 is ``Mesh.mesh_id``."""
     doc = {
         "version": MESH_FORMAT_VERSION,
         "geometry": mesh.geometry.to_dict(),
@@ -644,21 +631,3 @@ def mesh_to_json_bytes(mesh: Mesh) -> bytes:
         "outer_faces": mesh.outer_faces.ravel().tolist(),
     }
     return canonical_json_bytes(doc)
-
-
-def save_mesh(mesh: Mesh, path: str | Path) -> None:
-    Path(path).write_bytes(mesh_to_json_bytes(mesh))
-
-
-def load_mesh(path: str | Path) -> Mesh:
-    doc = json.loads(Path(path).read_bytes())
-    if doc.get("version") != MESH_FORMAT_VERSION:
-        raise MeshingError(f"unsupported mesh format version {doc.get('version')}")
-    geom = TankGeometry.from_dict(doc["geometry"])
-    nodes = np.asarray(doc["nodes"], dtype=np.float64).reshape(-1, 3)
-    tets = np.asarray(doc["tets"], dtype=np.int32).reshape(-1, 4)
-    electrodes = [np.asarray(p, dtype=np.int32).reshape(-1, 3)
-                  for p in doc["electrodes"]]
-    outer = np.asarray(doc["outer_faces"], dtype=np.int32).reshape(-1, 3)
-    return Mesh(geometry=geom, nodes=nodes, tets=tets,
-                electrodes=electrodes, outer_faces=outer)

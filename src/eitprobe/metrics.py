@@ -29,11 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ellipeinc, ellipkinc
 
-from .datagen import target_probe_distance
+from .datagen import SampleBounds, target_probe_distance
 from .errors import DimensionError, EmptyImageError
 from .mesh import Mesh
 
-V_DOMAIN = 4.0 / 3.0 * math.pi * 10.0 ** 3  # sphere of the placement bound
+# sphere of the default placement bound
+V_DOMAIN = 4.0 / 3.0 * math.pi * SampleBounds().max_distance ** 3
 
 
 @dataclass(frozen=True)

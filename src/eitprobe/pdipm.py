@@ -9,8 +9,9 @@ with L the face-difference operator. Each frame is solved on its own, as in
 Borsic et al. (IEEE TMI 29(1), 2010): every Newton system is solved
 inexactly by conjugate gradients on the matrix-free operator
 J'J + alpha L'DL, which never needs the normal matrix in memory. J and dv
-are normalized by the root-mean-square row norm of J before iterating, so
-alpha is calibrated against unit-scale operators.
+are normalized by the root-mean-square row norm of J, so alpha is
+calibrated against unit-scale operators; J is normalized implicitly, by
+dividing its products, so no scaled copy of it is held.
 """
 
 from __future__ import annotations
@@ -120,17 +121,19 @@ def _cg(apply_op, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _solve(jn: np.ndarray, lop: csr_matrix, data: np.ndarray,
+def _solve(jmat: np.ndarray, scale: float, lop: csr_matrix, data: np.ndarray,
            cfg: PdipmConfig) -> tuple[np.ndarray, ConvergenceTrace]:
-    """Interior-point iteration on one normalized frame."""
+    """Interior-point iteration on one normalized frame; the normalized
+    Jacobian jmat / scale is never formed."""
     alpha = cfg.alpha
-    back = jn.T @ data
-    fit = jn @ back
+    scale2 = scale * scale
+    back = (jmat.T @ data) / scale
+    fit = (jmat @ back) / scale
     den = fit @ fit
     c = (data @ fit) / den if den > 0 else 0.0
     beta = float(np.clip(1e-4 * np.abs(back * c).max(), 1e-12, 1e-2))
 
-    x, y = np.zeros(jn.shape[1]), np.zeros(lop.shape[0])
+    x, y = np.zeros(jmat.shape[1]), np.zeros(lop.shape[0])
     resid = -data
     trace = ConvergenceTrace()
 
@@ -141,14 +144,15 @@ def _solve(jn: np.ndarray, lop: csr_matrix, data: np.ndarray,
         t = lop @ x
         phi = np.sqrt(t * t + beta * beta)
         f_cur = objective(resid, t)
-        grad = jn.T @ resid + alpha * (lop.T @ (t / phi))
+        grad = (jmat.T @ resid) / scale + alpha * (lop.T @ (t / phi))
         dual_w = (1.0 - y * t / phi) / phi
 
         def apply_op(v):
-            return jn.T @ (jn @ v) + alpha * (lop.T @ (dual_w * (lop @ v)))
+            return ((jmat.T @ (jmat @ v)) / scale2
+                    + alpha * (lop.T @ (dual_w * (lop @ v))))
 
         dx = _cg(apply_op, -grad)
-        q, ld, gdot = jn @ dx, lop @ dx, grad @ dx
+        q, ld, gdot = (jmat @ dx) / scale, lop @ dx, grad @ dx
 
         s = 1.0
         for _ in range(_MAX_SHRINKS + 1):
@@ -204,10 +208,10 @@ def reconstruct_pdipm_batch(jac: Jacobian, tv: TvOperator, dv: np.ndarray,
     if not 0 < scale < math.inf:
         raise IllConditionedError(
             f"Jacobian norm is {scale}: the matrix is zero or not finite")
-    jn = jmat / scale
     images = np.empty((jmat.shape[1], dv.shape[1]))
     traces = []
     for k in range(dv.shape[1]):
-        images[:, k], trace = _solve(jn, tv.matrix, dv[:, k] / scale, cfg)
+        images[:, k], trace = _solve(jmat, scale, tv.matrix, dv[:, k] / scale,
+                                     cfg)
         traces.append(trace)
     return images, traces

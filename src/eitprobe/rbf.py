@@ -13,22 +13,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (DegenerateDataError, DimensionError, ProvenanceError,
                      SingularGramError)
-from .ioutil import ByteReader, pack_f64, pack_str, pack_u8, pack_u32
 from .mesh import Mesh
 
 MODES = ("direct", "postproc")
 DIRECT_INPUT_DIM = 928
 _LLOYD_ITERS = 25
-
-EITM_MAGIC = b"EITM"
-EITM_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -109,18 +104,9 @@ def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-def select_centers(inputs: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """k-means++ seeding plus a bounded number of Lloyd sweeps, run in the
-    z-scored input space the network operates in."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    mu = inputs.mean(axis=0)
-    sd = inputs.std(axis=0)
-    sd = np.where(sd > 0, sd, 1.0)
-    rng = np.random.default_rng(seed)
-    return _kmeans((inputs - mu) / sd, k, rng)
-
-
 def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding plus a bounded number of Lloyd sweeps; ``train``
+    runs it in the z-scored input space the network operates in."""
     n = points.shape[0]
     if k > n:
         raise ValueError(f"cannot place {k} centers on {n} samples")
@@ -280,56 +266,3 @@ def predict(model: RbfModel, inputs: np.ndarray, mesh: Mesh) -> np.ndarray:
         span = 1.0
     out = (h @ model.output_weights.T + model.output_bias) * span + model.output_lo
     return out[0] if single else out
-
-
-def save_model(model: RbfModel, path: str | Path) -> None:
-    mode_byte = MODES.index(model.mode)
-    blob = b"".join([
-        EITM_MAGIC,
-        pack_u32(EITM_VERSION),
-        pack_u8(mode_byte),
-        pack_u32(model.input_dim),
-        pack_u32(model.output_dim),
-        pack_u32(model.hidden_count),
-        pack_f64(model.spread),
-        pack_f64(model.output_lo),
-        pack_f64(model.output_hi),
-        pack_str(model.mesh_id),
-        pack_str(model.schedule_id),
-        np.ascontiguousarray(model.input_mean, dtype="<f8").tobytes(),
-        np.ascontiguousarray(model.input_scale, dtype="<f8").tobytes(),
-        np.ascontiguousarray(model.centers, dtype="<f8").tobytes(),
-        np.ascontiguousarray(model.output_weights, dtype="<f8").tobytes(),
-        np.ascontiguousarray(model.output_bias, dtype="<f8").tobytes(),
-    ])
-    Path(path).write_bytes(blob)
-
-
-def load_model(path: str | Path) -> RbfModel:
-    reader = ByteReader(Path(path).read_bytes())
-    if reader.bytes(4) != EITM_MAGIC:
-        raise ValueError("not a model file")
-    version = reader.u32()
-    if version != EITM_VERSION:
-        raise ValueError(f"unsupported model file version {version}")
-    mode = MODES[reader.u8()]
-    input_dim = reader.u32()
-    output_dim = reader.u32()
-    hidden = reader.u32()
-    spread = reader.f64()
-    lo = reader.f64()
-    hi = reader.f64()
-    mesh_id = reader.str_()
-    schedule_id = reader.str_()
-    mu = reader.f64_array(input_dim)
-    sd = reader.f64_array(input_dim)
-    centers = reader.f64_array(hidden * input_dim).reshape(hidden, input_dim)
-    weights = reader.f64_array(output_dim * hidden).reshape(output_dim, hidden)
-    bias = reader.f64_array(output_dim)
-    if not reader.at_end():
-        raise ValueError("trailing bytes in model file")
-    return RbfModel(mode=mode, centers=centers, spread=spread,
-                    output_weights=weights, output_bias=bias,
-                    input_mean=mu, input_scale=sd,
-                    output_lo=lo, output_hi=hi,
-                    mesh_id=mesh_id, schedule_id=schedule_id)

@@ -106,7 +106,7 @@ def test_conductivity_scaling_law(tiny_mesh, tiny_schedule):
     pat = StimPattern()
     a = assemble_system(tiny_mesh, homogeneous_field(tiny_mesh, SIGMA_REF))
     b = assemble_system(tiny_mesh, homogeneous_field(tiny_mesh, 2.0 * SIGMA_REF),
-                        contact_impedance=a.contact_impedance / 2.0)
+                        contact_impedance=DEFAULT_CONTACT_IMPEDANCE / 2.0)
     fa = solve_forward(a, pat, tiny_schedule).values
     fb = solve_forward(b, pat, tiny_schedule).values
     assert np.abs(fb - fa / 2.0).max() <= 1e-10 * np.abs(fa).max()

@@ -7,9 +7,7 @@ from eitprobe.errors import DimensionError, IllConditionedError, ProvenanceError
 from eitprobe.forward import VoltageFrame
 from eitprobe.gn import (PRIORS, GnConfig, _element_reconstruction_matrix,
                          build_reconstruction_matrix, element_to_nodal,
-                         load_matrix, reconstruct_gn, save_matrix,
-                         smoothness_prior)
-from eitprobe.ioutil import pack_u32
+                         reconstruct_gn, smoothness_prior)
 
 
 @pytest.fixture(scope="module")
@@ -129,44 +127,6 @@ def test_element_to_nodal_matches_accumulation_oracle(tiny_mesh):
     assert np.abs(got - expected).max() < 1e-12
 
 
-def test_matrix_file_round_trip(tiny_rmat, tmp_path):
-    path = tmp_path / "r.eitr"
-    save_matrix(tiny_rmat, path)
-    back = load_matrix(path)
-    assert np.array_equal(back.matrix, tiny_rmat.matrix)
-    assert back.mesh_id == tiny_rmat.mesh_id
-    assert back.schedule_id == tiny_rmat.schedule_id
-    assert back.config == tiny_rmat.config
-    assert back.config_hash == tiny_rmat.config_hash
-
-
-def test_matrix_file_rejects_corruption(tiny_rmat, tmp_path):
-    path = tmp_path / "r.eitr"
-    save_matrix(tiny_rmat, path)
-    blob = path.read_bytes()
-    bad = tmp_path / "bad.eitr"
-    bad.write_bytes(b"NOPE" + blob[4:])
-    with pytest.raises(ValueError, match="not a reconstruction"):
-        load_matrix(bad)
-    bad.write_bytes(blob[:-8])
-    with pytest.raises(ValueError, match="truncated"):
-        load_matrix(bad)
-    bad.write_bytes(blob + b"\x00" * 8)
-    with pytest.raises(ValueError, match="trailing"):
-        load_matrix(bad)
-
-
-def test_matrix_file_refuses_version_1(tiny_rmat, tmp_path):
-    # version 1 stored an element-level matrix; version 2 stores nodes
-    path = tmp_path / "r.eitr"
-    save_matrix(tiny_rmat, path)
-    blob = path.read_bytes()
-    old = tmp_path / "v1.eitr"
-    old.write_bytes(blob[:4] + pack_u32(1) + blob[8:])
-    with pytest.raises(ValueError, match="unsupported matrix file version"):
-        load_matrix(old)
-
-
 def test_mesh_provenance_enforced(tiny_jacobian, tiny_mesh, tiny_mesh_alt,
                                   tiny_rmat):
     with pytest.raises(ProvenanceError):
@@ -188,15 +148,6 @@ def test_config_validation():
         GnConfig(lam=0.0).validate()
     with pytest.raises(ValueError, match="prior"):
         GnConfig(prior="ridge").validate()
-    cfg = GnConfig.from_dict(GnConfig().to_dict())
-    assert cfg == GnConfig()
-
-
-def test_config_from_a_dict_that_still_carries_sigma_ref():
-    # EITR v2 files that carry a sigma_ref key must still load
-    cfg = GnConfig.from_dict({"lam": 0.01, "prior": "tikhonov",
-                              "sigma_ref": 0.15})
-    assert cfg == GnConfig(lam=0.01, prior="tikhonov")
 
 
 @pytest.mark.parametrize("prior", PRIORS)

@@ -5,8 +5,8 @@ import pytest
 
 from eitprobe.errors import GeometryError, MeshingError
 from eitprobe.mesh import (RefinementSpec, TankGeometry, build_mesh,
-                           elements_in_ellipsoid, load_mesh,
-                           mesh_to_json_bytes, save_mesh, validate_mesh)
+                           elements_in_ellipsoid, mesh_to_json_bytes,
+                           validate_mesh)
 
 # Recorded once from the default desk-scale build; guards against silent
 # changes to the grading logic.
@@ -197,19 +197,6 @@ def test_elements_in_ellipsoid_matches_bruteforce(tiny_mesh):
             if val <= 1.0:
                 expect.add(idx)
         assert got == expect
-
-
-def test_json_round_trip_bit_exact(tiny_mesh, tmp_path):
-    path = tmp_path / "mesh.json"
-    save_mesh(tiny_mesh, path)
-    loaded = load_mesh(path)
-    assert mesh_to_json_bytes(loaded) == mesh_to_json_bytes(tiny_mesh)
-    assert np.array_equal(loaded.nodes, tiny_mesh.nodes)
-    assert np.array_equal(loaded.tets, tiny_mesh.tets)
-    assert loaded.mesh_id == tiny_mesh.mesh_id
-    path2 = tmp_path / "mesh2.json"
-    save_mesh(loaded, path2)
-    assert path.read_bytes() == path2.read_bytes()
 
 
 def test_degenerate_refinement_rejected():

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -122,6 +123,18 @@ def test_batch_rerun_bit_identical(tiny_jacobian, tv, ball_dv):
     a, _ = reconstruct_pdipm_batch(tiny_jacobian, tv, ball_dv, cfg)
     b, _ = reconstruct_pdipm_batch(tiny_jacobian, tv, ball_dv, cfg)
     assert np.array_equal(a, b)
+
+
+def test_solve_memory_stays_below_the_jacobian(tiny_jacobian, tv, ball_dv):
+    # the solve must not hold a scaled copy of the Jacobian
+    tracemalloc.start()
+    try:
+        reconstruct_pdipm_batch(tiny_jacobian, tv, ball_dv,
+                                PdipmConfig(alpha=1e-3, max_iters=5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * tiny_jacobian.matrix.nbytes
 
 
 def test_mesh_provenance_enforced(tiny_mesh_alt, tiny_jacobian, ball_dv):

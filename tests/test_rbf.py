@@ -1,5 +1,5 @@
 """Tests for the RBF network: center selection, closed-form fit, spread
-sweep, serialization and the error surface."""
+sweep and the error surface."""
 
 import math
 
@@ -8,9 +8,7 @@ import pytest
 
 from eitprobe.errors import (DegenerateDataError, DimensionError,
                              ProvenanceError, SingularGramError)
-from eitprobe.ioutil import pack_u32
-from eitprobe.rbf import (RbfModel, TrainConfig, load_model, predict,
-                          save_model, select_centers, train)
+from eitprobe.rbf import TrainConfig, _kmeans, predict, train
 
 
 @pytest.fixture(scope="module")
@@ -42,19 +40,26 @@ def _split_indices(n, cfg):
     return perm[:n_val], perm[n_val:]
 
 
+def _centers(pts, k, seed):
+    # k-means on z-scored points, the way ``train`` calls it
+    sd = pts.std(axis=0)
+    zs = (pts - pts.mean(axis=0)) / np.where(sd > 0, sd, 1.0)
+    return _kmeans(zs, k, np.random.default_rng(seed))
+
+
 class TestCenterSelection:
     def test_same_seed_same_centers(self):
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(40, 5))
-        a = select_centers(pts, 6, seed=9)
-        b = select_centers(pts, 6, seed=9)
+        a = _centers(pts, 6, seed=9)
+        b = _centers(pts, 6, seed=9)
         assert a.shape == (6, 5)
         assert np.array_equal(a, b)
 
     def test_k_equals_n_returns_permutation(self):
         rng = np.random.default_rng(1)
         pts = rng.normal(size=(9, 4))
-        centers = select_centers(pts, 9, seed=2)
+        centers = _centers(pts, 9, seed=2)
         zs = (pts - pts.mean(axis=0)) / pts.std(axis=0)
         got = sorted(map(tuple, centers))
         want = sorted(map(tuple, zs))
@@ -65,7 +70,7 @@ class TestCenterSelection:
         lo = rng.normal(loc=-5.0, scale=0.3, size=(20, 3))
         hi = rng.normal(loc=5.0, scale=0.3, size=(20, 3))
         pts = np.vstack([lo, hi])
-        centers = select_centers(pts, 2, seed=0)
+        centers = _centers(pts, 2, seed=0)
         mu, sd = pts.mean(axis=0), pts.std(axis=0)
         mean_lo = (lo.mean(axis=0) - mu) / sd
         mean_hi = (hi.mean(axis=0) - mu) / sd
@@ -76,14 +81,14 @@ class TestCenterSelection:
     def test_identical_inputs(self):
         pts = np.tile([2.0, -1.0, 0.5], (12, 1))
         with pytest.raises(DegenerateDataError):
-            select_centers(pts, 2, seed=0)
-        one = select_centers(pts, 1, seed=0)
+            _centers(pts, 2, seed=0)
+        one = _centers(pts, 1, seed=0)
         assert one.shape == (1, 3)
 
     def test_more_centers_than_samples(self):
         pts = np.random.default_rng(0).normal(size=(5, 2))
         with pytest.raises(ValueError, match="5 samples"):
-            select_centers(pts, 6, seed=0)
+            _centers(pts, 6, seed=0)
 
 
 class TestTraining:
@@ -269,44 +274,3 @@ class TestPredict:
                          tiny_mesh.mesh_id, "s")
         with pytest.raises(DimensionError):
             predict(model, inputs[0], tiny_mesh)
-
-
-class TestModelFile:
-    def test_round_trip(self, memo_data, memo_model, tiny_mesh, tmp_path):
-        inputs, _ = memo_data
-        model, _ = memo_model
-        path = tmp_path / "net.eitm"
-        save_model(model, path)
-        back = load_model(path)
-        assert back.mode == model.mode
-        assert back.spread == model.spread
-        assert back.output_lo == model.output_lo
-        assert back.output_hi == model.output_hi
-        assert back.mesh_id == model.mesh_id
-        assert back.schedule_id == model.schedule_id
-        for name in ("centers", "output_weights", "output_bias",
-                     "input_mean", "input_scale"):
-            assert np.array_equal(getattr(back, name), getattr(model, name))
-        a = predict(model, inputs[:4], tiny_mesh)
-        b = predict(back, inputs[:4], tiny_mesh)
-        assert np.array_equal(a, b)
-
-    def test_corrupt_files(self, memo_model, tmp_path):
-        model, _ = memo_model
-        path = tmp_path / "net.eitm"
-        save_model(model, path)
-        blob = path.read_bytes()
-
-        bad = tmp_path / "bad.eitm"
-        bad.write_bytes(b"XITM" + blob[4:])
-        with pytest.raises(ValueError, match="not a model file"):
-            load_model(bad)
-        bad.write_bytes(blob[:4] + pack_u32(99) + blob[8:])
-        with pytest.raises(ValueError, match="unsupported"):
-            load_model(bad)
-        bad.write_bytes(blob[:-8])
-        with pytest.raises(ValueError, match="truncated"):
-            load_model(bad)
-        bad.write_bytes(blob + b"\x00" * 8)
-        with pytest.raises(ValueError, match="trailing"):
-            load_model(bad)
