@@ -3,9 +3,10 @@
 The unknowns are the nodal potentials plus one potential per electrode.
 Contact impedance couples electrode potentials to the boundary through the
 patch faces. The assembled system is symmetric positive semidefinite with a
-one-dimensional constant nullspace, removed by grounding one mesh node; the
-reduced system is factorized once per conductivity and the factor is reused
-across every injection.
+one-dimensional constant nullspace, removed by grounding one mesh node. The
+reduced system is symmetric positive definite; it is factorized once per
+conductivity, in SuperLU's symmetric mode with diagonal pivoting, and the
+factor is reused across every injection.
 
 Voltages scale linearly with injected current and, when conductivity and
 interface conductance are scaled together, inversely with the conductivity
@@ -164,6 +165,17 @@ def _face_areas(nodes: np.ndarray, faces: np.ndarray) -> np.ndarray:
     return 0.5 * np.linalg.norm(cross, axis=1)
 
 
+def _factor_spd(matrix: csc_matrix, error: type[Exception]):
+    """SuperLU factor of a sparse SPD matrix in symmetric mode: minimum
+    degree ordering on A'+A and diagonal pivots, so no row is swapped and
+    the fill stays that of the ordering. A zero pivot raises ``error``."""
+    try:
+        return splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise error(f"sparse SPD factorization failed: {exc}") from exc
+
+
 @dataclass(eq=False)
 class SparseSystem:
     """Assembled CEM system for one conductivity field."""
@@ -181,11 +193,7 @@ class SparseSystem:
         n = self.matrix.shape[0]
         keep = np.arange(n) != self.ground_index
         reduced = self.matrix[keep][:, keep].tocsc()
-        try:
-            factor = splu(reduced, permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:
-            raise SingularSystemError(f"factorization failed: {exc}") from exc
-        return reduced, factor, keep
+        return reduced, _factor_spd(reduced, SingularSystemError), keep
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for one or more right-hand sides (columns); the grounded

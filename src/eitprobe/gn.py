@@ -11,9 +11,11 @@ identity
     (U U' + S)^-1 U = S^-1 U (I + U' S^-1 U)^-1
 
 so only the sparse prior S and a dense measurement-by-measurement block are
-ever factorized; an element-by-element dense matrix is never formed. The
-right-hand sides U are streamed in blocks of measurement columns, so no
-element-by-measurement array beyond one block is held besides the Jacobian.
+ever factorized; an element-by-element dense matrix is never formed. Both
+are SPD: the dense block is Cholesky-factorized, and S is factorized by
+SuperLU in symmetric mode with diagonal pivoting. The right-hand sides U
+are streamed in blocks of measurement columns, so no element-by-measurement
+array beyond one block is held besides the Jacobian.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse import csr_matrix
 from scipy.sparse import identity as speye
-from scipy.sparse.linalg import splu
 
 from .errors import DimensionError, IllConditionedError, ProvenanceError
-from .forward import Jacobian, VoltageFrame
+from .forward import Jacobian, VoltageFrame, _factor_spd
 from .ioutil import hash_of
 from .mesh import Mesh
 from .pdipm import build_tv_operator
@@ -130,10 +131,7 @@ def _build(jac: Jacobian, mesh: Mesh, cfg: GnConfig,
             return u / lam2
     else:
         s = (lam2 * smoothness_prior(mesh, cfg.prior)).tocsc()
-        try:
-            solve = splu(s, permc_spec="MMD_AT_PLUS_A").solve
-        except RuntimeError as exc:
-            raise IllConditionedError(f"prior factorization failed: {exc}") from exc
+        solve = _factor_spd(s, IllConditionedError).solve
     g = np.eye(n_meas)
     z = np.empty((avg.shape[0], n_meas))
     for b in blocks:

@@ -3,10 +3,11 @@ import hashlib
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.sparse.linalg import splu
 
 from eitprobe.errors import DimensionError, SingularSystemError
-from eitprobe.forward import (DEFAULT_CONTACT_IMPEDANCE, StimPattern,
-                              assemble_system, compute_jacobian,
+from eitprobe.forward import (DEFAULT_CONTACT_IMPEDANCE, SparseSystem,
+                              StimPattern, assemble_system, compute_jacobian,
                               homogeneous_field, read_frame_csv, solve_forward,
                               solve_injections, write_frame_csv)
 from eitprobe.mesh import Mesh
@@ -14,8 +15,10 @@ from eitprobe.mesh import Mesh
 SIGMA_REF = 0.15
 
 # Recorded once from the tiny-mesh homogeneous solve; guards the whole
-# forward chain (grid, assembly, ordering, factorization) bit-for-bit.
-TINY_FRAME_SHA256 = "48895c3640b866e59297699b88fc6b5aafc2318d93046144db279c1eb43f614f"
+# forward chain (grid, assembly, ordering, factorization) bit-for-bit. The
+# factorization is SuperLU's symmetric mode: MMD_AT_PLUS_A ordering with
+# diagonal pivots (diag_pivot_thresh=0), then one refinement step.
+TINY_FRAME_SHA256 = "74d167ff7b6c9857724bd1d06241502ffaf64410c7d56665f08628d67eeeb27d"
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +88,44 @@ def test_sparse_solution_matches_dense_lu(tiny_mesh, tiny_system):
     xd[keep] = sla.lu_solve(lu, rhs[keep])
     xs = tiny_system.solve(rhs)
     assert np.linalg.norm(xd - xs) / np.linalg.norm(xd) < 1e-10
+
+
+def test_solve_matches_dense_oracle(tiny_mesh, tiny_system, tiny_schedule):
+    # the grounded system is SPD, so a dense Cholesky solve is an oracle
+    n = tiny_mesh.n_nodes
+    amp = StimPattern().amplitude
+    rhs = np.zeros((tiny_system.matrix.shape[0], tiny_schedule.n_injections))
+    for d, (plus, minus) in enumerate(tiny_schedule.pairs):
+        rhs[n + plus, d], rhs[n + minus, d] = amp, -amp
+    keep = np.arange(rhs.shape[0]) != tiny_system.ground_index
+    dense = tiny_system.matrix.toarray()[keep][:, keep]
+    u = np.zeros_like(rhs)
+    u[keep] = sla.solve(dense, rhs[keep], assume_a="pos")
+    u_el = u[n:]
+    rows = tiny_schedule.rows
+    expect = u_el[rows[:, 1], rows[:, 0]] - u_el[rows[:, 2], rows[:, 0]]
+    got = solve_forward(tiny_system, StimPattern(), tiny_schedule).values
+    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+def test_factor_fill_no_worse_than_unsymmetric_mmd(tiny_system):
+    reduced, factor, _ = tiny_system._reduced
+    oracle = splu(reduced, permc_spec="MMD_AT_PLUS_A")
+    assert factor.L.nnz + factor.U.nnz <= oracle.L.nnz + oracle.U.nnz
+
+
+def test_zero_pivot_raises_singular_system_error(tiny_mesh, tiny_system):
+    # an all-zero row and column in the reduced matrix; built by hand, since
+    # assembly's connectivity check would reject it before any factorization
+    matrix = tiny_system.matrix.tolil()
+    matrix[5, :] = 0.0
+    matrix[:, 5] = 0.0
+    broken = SparseSystem(mesh=tiny_mesh, matrix=matrix.tocsc(),
+                          ground_index=tiny_system.ground_index)
+    rhs = np.zeros(matrix.shape[0])
+    rhs[tiny_mesh.n_nodes], rhs[tiny_mesh.n_nodes + 1] = 1.0, -1.0
+    with pytest.raises(SingularSystemError, match="factorization"):
+        broken.solve(rhs)
 
 
 def test_reciprocity(tiny_mesh, tiny_schedule, tiny_solutions):
