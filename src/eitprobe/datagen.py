@@ -374,13 +374,11 @@ def gen_dataset(out_dir: str | Path, n: int, gen_mesh: Mesh, inv_mesh: Mesh,
                 noise: NoiseModel | None = None,
                 bounds: SampleBounds = SampleBounds(),
                 pattern: StimPattern = StimPattern(),
-                master_seed: int = 0,
-                allow_inverse_crime: bool = False) -> dict:
+                master_seed: int = 0) -> dict:
     """Generate ``n`` samples into a dataset directory; returns the manifest.
 
     The forward problem runs on the generation mesh and the reconstruction
-    on the inverse mesh; running both on one mesh is refused unless
-    explicitly overridden.
+    on the inverse mesh; running both on one mesh is refused.
     """
     if n < 1:
         raise ValueError("dataset needs at least one sample")
@@ -390,7 +388,7 @@ def gen_dataset(out_dir: str | Path, n: int, gen_mesh: Mesh, inv_mesh: Mesh,
     pattern.validate()
     nm = noise if noise is not None else NOISE_OFF
     nm.validate()
-    if gen_mesh.mesh_id == inv_mesh.mesh_id and not allow_inverse_crime:
+    if gen_mesh.mesh_id == inv_mesh.mesh_id:
         raise ProvenanceError(
             "generation and inverse meshes are identical; reconstruction "
             "would be tested on its own discretization")
@@ -420,7 +418,6 @@ def gen_dataset(out_dir: str | Path, n: int, gen_mesh: Mesh, inv_mesh: Mesh,
         doc["distance"] = s.distance
         doc["index"] = s.index
         (sdir / "target.json").write_bytes(canonical_json_bytes(doc))
-        write_frame_csv(s.v_clean, schedule, sdir / "v_clean.csv")
         write_frame_csv(s.v_noisy, schedule, sdir / "v_noisy.csv")
         write_f64(sdir / "gn_image.f64", s.gn_image)
         write_f64(sdir / "truth.f64", s.truth_nodal)

@@ -46,4 +46,4 @@ class DegenerateDataError(EitProbeError):
 
 
 class EmptyImageError(EitProbeError):
-    """Thresholding found no voxel of the expected sign."""
+    """Thresholding found no voxel of positive contrast."""

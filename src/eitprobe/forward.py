@@ -208,9 +208,6 @@ class SparseSystem:
         xr = factor.solve(br)
         if not np.all(np.isfinite(xr)):
             raise SingularSystemError("solve produced non-finite values")
-        # one step of iterative refinement; keeps per-injection current
-        # conservation well below 1e-12 of the drive amplitude
-        xr += factor.solve(br - reduced @ xr)
         resid = reduced @ xr - br
         scale = np.linalg.norm(br, axis=0)
         # zero rhs columns trivially give zero solutions and are exempt
@@ -391,6 +388,9 @@ def read_frame_csv(path: str | Path, schedule: MeasurementSchedule) -> VoltageFr
     expect = schedule.rows
     values = np.empty(schedule.n_measurements)
     for k, row in enumerate(rows):
+        if len(row) != len(FRAME_HEADER):
+            raise ValueError(f"frame row {k} has {len(row)} fields, "
+                             f"expected {len(FRAME_HEADER)}")
         if [int(row[0]), int(row[1]), int(row[2])] != expect[k].tolist():
             raise ValueError(f"frame row {k} does not match the schedule")
         values[k] = float(row[3])

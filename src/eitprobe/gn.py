@@ -36,7 +36,6 @@ from .mesh import Mesh
 from .pdipm import build_tv_operator
 
 DEFAULT_LAMBDA = 0.03
-PRIORS = ("laplacian", "tikhonov")
 _PRIOR_RIDGE = 1e-8
 # measurement columns per solve block of the matrix build; caps its working
 # set at a few element-by-block arrays
@@ -45,21 +44,19 @@ _BLOCK_COLUMNS = 128
 
 @dataclass(frozen=True)
 class GnConfig:
-    """Regularization weight (against normalized operators) and prior
-    choice. The linearization point is the conductivity the Jacobian was
-    computed at."""
+    """Regularization weight, against normalized operators. The
+    linearization point is the conductivity the Jacobian was computed at."""
 
     lam: float = DEFAULT_LAMBDA
-    prior: str = "laplacian"
 
     def validate(self) -> None:
         if not (self.lam > 0 and math.isfinite(self.lam)):
             raise ValueError("lam must be positive and finite")
-        if self.prior not in PRIORS:
-            raise ValueError(f"prior must be one of {PRIORS}")
 
     def to_dict(self) -> dict:
-        return {"lam": self.lam, "prior": self.prior}
+        # the prior is always the Laplacian; naming it keeps config hashes,
+        # and so dataset manifests, as they were
+        return {"lam": self.lam, "prior": "laplacian"}
 
 
 @dataclass(eq=False)
@@ -78,13 +75,11 @@ class ReconstructionMatrix:
         return hash_of(self.config.to_dict())
 
 
-def smoothness_prior(mesh: Mesh, prior: str):
-    """Sparse SPD prior: identity, or the face-weighted graph Laplacian of
-    the element adjacency normalized to unit mean diagonal plus a small
-    ridge that removes the constant nullspace."""
+def smoothness_prior(mesh: Mesh):
+    """Sparse SPD prior: the face-weighted graph Laplacian of the element
+    adjacency normalized to unit mean diagonal plus a small ridge that
+    removes the constant nullspace."""
     n = mesh.n_elements
-    if prior == "tikhonov":
-        return speye(n, format="csc")
     lop = build_tv_operator(mesh).matrix
     lap = (lop.T @ lop).tocsc()
     lap = lap * (n / lap.diagonal().sum())
@@ -125,18 +120,13 @@ def _build(jac: Jacobian, mesh: Mesh, cfg: GnConfig,
         raise IllConditionedError(
             f"Jacobian norm is {scale}: the matrix is zero or not finite")
     unscale = vols * scale
-    lam2 = cfg.lam ** 2
-    if cfg.prior == "tikhonov":
-        def solve(u):
-            return u / lam2
-    else:
-        s = (lam2 * smoothness_prior(mesh, cfg.prior)).tocsc()
-        solve = _factor_spd(s, IllConditionedError).solve
+    s = _factor_spd((cfg.lam ** 2 * smoothness_prior(mesh)).tocsc(),
+                    IllConditionedError)
     g = np.eye(n_meas)
     z = np.empty((avg.shape[0], n_meas))
     for b in blocks:
         # the transpose of a row block is Fortran-ordered, as SuperLU wants
-        w = solve((jmat[b] / unscale).T)
+        w = s.solve((jmat[b] / unscale).T)
         w /= unscale[:, None]
         g[:, b] += jmat @ w
         z[:, b] = avg @ w

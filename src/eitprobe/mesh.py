@@ -16,20 +16,15 @@ rectangles, so each patch is a fixed set of whole boundary faces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import GeometryError, MeshingError
 from .ioutil import canonical_json_bytes, sha256_hex
 
 MESH_FORMAT_VERSION = 1
-
-# Wall/cap classification tolerance, relative to the coordinate magnitude.
-_WALL_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -133,32 +128,6 @@ class RefinementSpec:
                 f"seed must be a non-negative integer (got {self.seed!r})")
 
 
-@dataclass
-class ValidationIssue:
-    kind: str
-    index: int
-    detail: str
-
-
-@dataclass
-class ValidationReport:
-    issues: list[ValidationIssue] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-    def add(self, kind: str, index: int, detail: str) -> None:
-        self.issues.append(ValidationIssue(kind, index, detail))
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "mesh valid"
-        lines = [f"{len(self.issues)} issue(s):"]
-        lines += [f"  [{i.kind}] #{i.index}: {i.detail}" for i in self.issues]
-        return "\n".join(lines)
-
-
 @dataclass(eq=False)
 class Mesh:
     """Tetrahedral mesh with electrode patch and outer-wall face sets.
@@ -225,15 +194,6 @@ class Mesh:
     def boundary_faces(self) -> np.ndarray:
         faces, _owners, counts = self._faces
         return faces[counts == 1]
-
-    @cached_property
-    def element_mean_edge(self) -> np.ndarray:
-        p = self.nodes[self.tets]
-        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-        acc = np.zeros(self.n_elements)
-        for a, b in pairs:
-            acc += np.linalg.norm(p[:, a] - p[:, b], axis=1)
-        return acc / len(pairs)
 
 
 def _signed_volumes(nodes: np.ndarray, tets: np.ndarray) -> np.ndarray:
@@ -541,66 +501,6 @@ def build_mesh(geom: TankGeometry, density: RefinementSpec) -> Mesh:
 
     return Mesh(geometry=geom, nodes=nodes, tets=tets,
                 electrodes=electrodes, outer_faces=outer)
-
-
-# --- validation --------------------------------------------------------------
-
-
-def validate_mesh(mesh: Mesh) -> ValidationReport:
-    """Structural validation; an empty report means the mesh is usable."""
-    rep = ValidationReport()
-    vol = _signed_volumes(mesh.nodes, mesh.tets)
-    for i in np.where(vol <= 0)[0]:
-        rep.add("inverted_element", int(i), f"signed volume {vol[i]:.3e}")
-
-    used = np.zeros(mesh.n_nodes, dtype=bool)
-    used[mesh.tets.ravel()] = True
-    for i in np.where(~used)[0]:
-        rep.add("orphan_node", int(i), "node not referenced by any element")
-
-    i0 = mesh.tets[:, [0, 0, 0, 1, 1, 2]].ravel()
-    i1 = mesh.tets[:, [1, 2, 3, 2, 3, 3]].ravel()
-    adj = coo_matrix((np.ones(len(i0)), (i0, i1)), shape=(mesh.n_nodes, mesh.n_nodes))
-    n_comp, _ = connected_components(adj, directed=False)
-    if n_comp != 1:
-        rep.add("disconnected", -1, f"{n_comp} connected components")
-
-    geom = mesh.geometry
-    rho = np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])
-    probe_node = np.abs(rho - geom.probe_radius) <= _WALL_RTOL * geom.probe_radius
-    outer_node = np.abs(rho - geom.tank_radius) <= _WALL_RTOL * geom.tank_radius
-    half = geom.tank_height / 2.0
-    cap_node = np.abs(np.abs(mesh.nodes[:, 2]) - half) <= _WALL_RTOL * half
-
-    seen = {}
-    for e, patch in enumerate(mesh.electrodes):
-        if patch.shape[0] == 0:
-            rep.add("empty_patch", e, f"electrode {e} has no faces")
-            continue
-        if not np.all(probe_node[patch.ravel()]):
-            rep.add("patch_off_probe", e, f"electrode {e} has faces off the probe wall")
-        for key in map(tuple, np.sort(patch, axis=1)):
-            if key in seen and seen[key] != e:
-                rep.add("patch_overlap", e,
-                        f"face {key} assigned to electrodes {seen[key]} and {e}")
-            seen[key] = e
-
-    bfaces = mesh.boundary_faces
-    on_probe = np.all(probe_node[bfaces], axis=1)
-    on_outer = np.all(outer_node[bfaces], axis=1)
-    on_cap = np.all(cap_node[bfaces], axis=1)
-    n_classes = on_probe.astype(int) + on_outer.astype(int) + on_cap.astype(int)
-    for i in np.where(n_classes != 1)[0]:
-        rep.add("unclassified_boundary", int(i),
-                f"face {bfaces[i].tolist()} matches {n_classes[i]} wall classes")
-
-    derived_outer = {tuple(f) for f in np.sort(bfaces[on_outer], axis=1)}
-    stored_outer = {tuple(f) for f in np.sort(mesh.outer_faces, axis=1)}
-    if derived_outer != stored_outer:
-        rep.add("outer_mismatch", -1,
-                f"stored outer wall has {len(stored_outer)} faces, derived "
-                f"{len(derived_outer)}")
-    return rep
 
 
 def elements_in_ellipsoid(mesh: Mesh, target) -> np.ndarray:

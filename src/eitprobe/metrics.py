@@ -161,13 +161,12 @@ def voxelize(mesh: Mesh, img: np.ndarray,
     return get_voxelizer(mesh, spec).apply(img)
 
 
-def threshold_quarter(values: np.ndarray, contrast_sign: float = 1.0) -> np.ndarray:
-    """Voxels at or above a quarter of the peak signed value."""
-    signed = values * (1.0 if contrast_sign >= 0 else -1.0)
-    peak = float(signed.max())
+def threshold_quarter(values: np.ndarray) -> np.ndarray:
+    """Voxels at or above a quarter of the peak value."""
+    peak = float(values.max())
     if peak <= 0.0:
-        raise EmptyImageError("image has no contrast of the expected sign")
-    return signed >= 0.25 * peak
+        raise EmptyImageError("image has no positive contrast")
+    return values >= 0.25 * peak
 
 
 def ellipsoid_form(target, spec: GridSpec) -> np.ndarray:
@@ -244,13 +243,13 @@ class ErrorReport:
 
 def full_report(mesh: Mesh, img: np.ndarray, target,
                 spec: GridSpec = DEFAULT_GRID, method: str = "",
-                case_id: str = "", contrast_sign: float = 1.0,
+                case_id: str = "",
                 domain_volume: float = V_DOMAIN) -> ErrorReport:
     """Voxelize, threshold and score one reconstruction.
 
-    A reconstruction with no contrast of the expected sign cannot be
-    thresholded; it scores as the empty reconstruction (the whole truth
-    missed, SD pinned at 100) and is tagged so sweeps can count such cases.
+    A reconstruction with no positive contrast cannot be thresholded; it
+    scores as the empty reconstruction (the whole truth missed, SD pinned
+    at 100) and is tagged so sweeps can count such cases.
     """
     geom = mesh.geometry
     distance = target_probe_distance(target, geom)
@@ -258,7 +257,7 @@ def full_report(mesh: Mesh, img: np.ndarray, target,
     q = ellipsoid_form(target, spec)
     truth, roi = q <= 1.0, q <= 4.0
     try:
-        recon = threshold_quarter(values, contrast_sign)
+        recon = threshold_quarter(values)
     except EmptyImageError:
         recon = np.zeros(spec.shape, dtype=bool)
     worst_case = not recon.any()

@@ -60,12 +60,7 @@ class TvOperator:
     with w = shared-face area / centroid distance."""
 
     matrix: csr_matrix
-    weights: np.ndarray
     mesh_id: str
-
-    @property
-    def n_faces(self) -> int:
-        return self.matrix.shape[0]
 
 
 def build_tv_operator(mesh: Mesh) -> TvOperator:
@@ -82,7 +77,7 @@ def build_tv_operator(mesh: Mesh) -> TvOperator:
     data = np.column_stack([w, -w]).ravel()
     matrix = coo_matrix((data, (rows, cols)),
                         shape=(n_f, mesh.n_elements)).tocsr()
-    return TvOperator(matrix=matrix, weights=w, mesh_id=mesh.mesh_id)
+    return TvOperator(matrix=matrix, mesh_id=mesh.mesh_id)
 
 
 @dataclass(eq=False)

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg as sla
 from scipy.sparse.linalg import splu
 
+from eitprobe.datagen import TargetSpec, rasterize_target
 from eitprobe.errors import DimensionError, SingularSystemError
 from eitprobe.forward import (DEFAULT_CONTACT_IMPEDANCE, SparseSystem,
                               StimPattern, assemble_system, compute_jacobian,
@@ -17,8 +18,8 @@ SIGMA_REF = 0.15
 # Recorded once from the tiny-mesh homogeneous solve; guards the whole
 # forward chain (grid, assembly, ordering, factorization) bit-for-bit. The
 # factorization is SuperLU's symmetric mode: MMD_AT_PLUS_A ordering with
-# diagonal pivots (diag_pivot_thresh=0), then one refinement step.
-TINY_FRAME_SHA256 = "74d167ff7b6c9857724bd1d06241502ffaf64410c7d56665f08628d67eeeb27d"
+# diagonal pivots (diag_pivot_thresh=0), and one solve per right-hand side.
+TINY_FRAME_SHA256 = "8308341e71068744037a38f5aaa7fb28841b10f1d7420e124daabac55762e76c"
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +142,26 @@ def test_current_conservation(tiny_system, tiny_solutions):
     assert np.abs(currents.sum(axis=0)).max() <= 1e-12  # amplitude is 1 here
 
 
+def test_contrast_field_conserves_current_and_matches_dense(tiny_mesh,
+                                                            tiny_schedule):
+    # an inclusion next to the electrodes, twice the background conductivity
+    target = TargetSpec(center=(2.5, 0.0, 0.0), semi_axes=(1.0, 1.5, 2.0))
+    sigma = rasterize_target(tiny_mesh, target)
+    assert 0 < np.count_nonzero(sigma == target.sigma_in) < sigma.size
+    system = assemble_system(tiny_mesh, sigma)
+    u = solve_injections(system, tiny_schedule, 1.0)
+    currents = system.electrode_currents(u)
+    assert np.abs(currents.sum(axis=0)).max() <= 1e-12
+    keep = np.arange(u.shape[0]) != system.ground_index
+    dense = system.matrix.toarray()[keep][:, keep]
+    rhs = np.zeros_like(u)
+    n = tiny_mesh.n_nodes
+    for d, (plus, minus) in enumerate(tiny_schedule.pairs):
+        rhs[n + plus, d], rhs[n + minus, d] = 1.0, -1.0
+    expect = sla.solve(dense, rhs[keep], assume_a="pos")
+    assert np.abs(u[keep] - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
 def test_conductivity_scaling_law(tiny_mesh, tiny_schedule):
     # scaling the medium means scaling both the bulk conductivity and the
     # electrode interface conductance; voltages then scale by 1/k
@@ -226,6 +247,20 @@ def test_frame_csv_rejects_wrong_schedule(tiny_system, tiny_schedule, tmp_path):
     del lines[5]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DimensionError):
+        read_frame_csv(path, tiny_schedule)
+
+
+@pytest.mark.parametrize("width", [2, 5])
+def test_frame_csv_rejects_wrong_row_width(tiny_system, tiny_schedule,
+                                           tmp_path, width):
+    # a valid row cut short, or with one more field appended
+    frame = solve_forward(tiny_system, StimPattern(), tiny_schedule)
+    path = tmp_path / "frame.csv"
+    write_frame_csv(frame, tiny_schedule, path)
+    lines = path.read_text().splitlines()
+    lines[4] = ",".join((lines[4].split(",") + ["0.0"])[:width])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="row 3 has"):
         read_frame_csv(path, tiny_schedule)
 
 

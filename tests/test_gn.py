@@ -5,7 +5,7 @@ import pytest
 
 from eitprobe.errors import DimensionError, IllConditionedError, ProvenanceError
 from eitprobe.forward import VoltageFrame
-from eitprobe.gn import (PRIORS, GnConfig, _element_reconstruction_matrix,
+from eitprobe.gn import (GnConfig, _element_reconstruction_matrix,
                          build_reconstruction_matrix, element_to_nodal,
                          reconstruct_gn, smoothness_prior)
 
@@ -22,7 +22,7 @@ def _normal_equation_residual(jac, mesh, rmat):
     vols = mesh.volumes
     js = jac.matrix / vols[None, :]
     s2 = np.linalg.norm(js) ** 2 / js.shape[0]
-    prior = smoothness_prior(mesh, rmat.config.prior)
+    prior = smoothness_prior(mesh)
     m = rmat.matrix * vols[:, None]
     lhs = js.T @ (js @ m) + (rmat.config.lam ** 2 * s2) * (prior @ m)
     return np.linalg.norm(lhs - js.T) / np.linalg.norm(js.T)
@@ -31,12 +31,6 @@ def _normal_equation_residual(jac, mesh, rmat):
 def test_solves_regularized_normal_equations(tiny_jacobian, tiny_mesh,
                                              elem_rmat):
     assert _normal_equation_residual(tiny_jacobian, tiny_mesh, elem_rmat) < 1e-4
-
-
-def test_tikhonov_prior_normal_equations(tiny_jacobian, tiny_mesh):
-    rm = _element_reconstruction_matrix(tiny_jacobian, tiny_mesh,
-                                        GnConfig(prior="tikhonov"))
-    assert _normal_equation_residual(tiny_jacobian, tiny_mesh, rm) < 1e-9
 
 
 def test_huge_lambda_suppresses_image(tiny_jacobian, tiny_mesh, tiny_rmat):
@@ -69,7 +63,7 @@ def test_matrix_folds_the_nodal_averaging(tiny_mesh, tiny_rmat, elem_rmat):
 def test_build_memory_stays_near_the_jacobian(tiny_jacobian, tiny_mesh):
     # the build must not hold whole element-by-measurement copies of the
     # Jacobian; caches of the mesh are warmed so only the build is counted
-    smoothness_prior(tiny_mesh, "laplacian")
+    smoothness_prior(tiny_mesh)
     tracemalloc.start()
     try:
         build_reconstruction_matrix(tiny_jacobian, tiny_mesh, GnConfig())
@@ -146,12 +140,8 @@ def test_dv_length_checked(tiny_rmat, tiny_mesh):
 def test_config_validation():
     with pytest.raises(ValueError, match="lam"):
         GnConfig(lam=0.0).validate()
-    with pytest.raises(ValueError, match="prior"):
-        GnConfig(prior="ridge").validate()
 
 
-@pytest.mark.parametrize("prior", PRIORS)
-def test_non_finite_jacobian_refused(tiny_jacobian_nan, tiny_mesh, prior):
+def test_non_finite_jacobian_refused(tiny_jacobian_nan, tiny_mesh):
     with pytest.raises(IllConditionedError, match="Jacobian"):
-        build_reconstruction_matrix(tiny_jacobian_nan, tiny_mesh,
-                                    GnConfig(prior=prior))
+        build_reconstruction_matrix(tiny_jacobian_nan, tiny_mesh, GnConfig())

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,8 +6,7 @@ import pytest
 
 from eitprobe.errors import GeometryError, MeshingError
 from eitprobe.mesh import (RefinementSpec, TankGeometry, build_mesh,
-                           elements_in_ellipsoid, mesh_to_json_bytes,
-                           validate_mesh)
+                           elements_in_ellipsoid, mesh_to_json_bytes)
 
 # Recorded once from the default desk-scale build; guards against silent
 # changes to the grading logic.
@@ -79,7 +79,9 @@ def test_volume_sum_matches_annular_tank(desk_mesh):
 
 def test_edge_length_grows_with_radius(desk_mesh):
     rho = np.hypot(desk_mesh.centroids[:, 0], desk_mesh.centroids[:, 1])
-    edges = desk_mesh.element_mean_edge
+    p = desk_mesh.nodes[desk_mesh.tets]
+    edges = np.mean([np.linalg.norm(p[:, a] - p[:, b], axis=1)
+                     for a, b in itertools.combinations(range(4), 2)], axis=0)
     bins = np.linspace(1.0, desk_mesh.geometry.tank_radius, 12)
     idx = np.digitize(rho, bins)
     meds = [np.median(edges[idx == k]) for k in range(1, 12) if np.any(idx == k)]
@@ -97,9 +99,9 @@ def test_build_deterministic(tiny_geom):
 def test_seeded_jitter_changes_mesh(tiny_geom):
     a = build_mesh(tiny_geom, RefinementSpec(near=1.2, far=12.0, growth=2.2, seed=0))
     b = build_mesh(tiny_geom, RefinementSpec(near=1.2, far=12.0, growth=2.2, seed=7))
+    # test_mesh_holds_its_invariants checks that jitter leaves the walls
+    # and electrode patches intact
     assert a.mesh_id != b.mesh_id
-    # jitter must leave the walls and electrode patches intact
-    assert validate_mesh(b).ok
 
 
 def test_jittered_mesh_bytes_pinned(tiny_mesh_alt):
@@ -108,41 +110,36 @@ def test_jittered_mesh_bytes_pinned(tiny_mesh_alt):
         "5e3f1784d9d0da33d2d6e82cb4b4ea613a66ca3c39c4efa2fba2ae8eb4319ff1")
 
 
-def test_validation_clean_mesh(tiny_mesh):
-    rep = validate_mesh(tiny_mesh)
-    assert rep.ok, str(rep)
+def _wall_nodes(mesh, radius):
+    rho = np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])
+    return np.abs(rho - radius) <= 1e-9 * radius
 
 
-def test_validation_flags_inverted_element(tiny_mesh):
-    tets = tiny_mesh.tets.copy()
-    tets[5] = tets[5][[0, 1, 3, 2]]
-    broken = type(tiny_mesh)(geometry=tiny_mesh.geometry, nodes=tiny_mesh.nodes,
-                             tets=tets, electrodes=tiny_mesh.electrodes,
-                             outer_faces=tiny_mesh.outer_faces)
-    rep = validate_mesh(broken)
-    inverted = [i for i in rep.issues if i.kind == "inverted_element"]
-    assert len(inverted) == 1
-    assert inverted[0].index == 5
+def _face_set(faces):
+    return {tuple(f) for f in np.sort(faces, axis=1).tolist()}
 
 
-def test_validation_flags_empty_patch(tiny_mesh):
-    patches = [p.copy() for p in tiny_mesh.electrodes]
-    patches[11] = patches[11][:0]
-    broken = type(tiny_mesh)(geometry=tiny_mesh.geometry, nodes=tiny_mesh.nodes,
-                             tets=tiny_mesh.tets, electrodes=patches,
-                             outer_faces=tiny_mesh.outer_faces)
-    rep = validate_mesh(broken)
-    empty = [i for i in rep.issues if i.kind == "empty_patch"]
-    assert len(empty) == 1
-    assert empty[0].index == 11
-    assert "11" in empty[0].detail
+@pytest.mark.parametrize("name", ["tiny_mesh", "tiny_mesh_alt"])
+def test_mesh_holds_its_invariants(request, name):
+    # what the pipeline does not check at run time holds by construction:
+    # the plain mesh and a jittered one both satisfy it
+    mesh = request.getfixturevalue(name)
+    g = mesh.geometry
+    assert np.array_equal(np.unique(mesh.tets), np.arange(mesh.n_nodes))
+    on_probe = _wall_nodes(mesh, g.probe_radius)
+    patches = [_face_set(p) for p in mesh.electrodes]
+    for patch in mesh.electrodes:
+        assert np.all(on_probe[patch])
+    assert len(set().union(*patches)) == sum(len(p) for p in patches)
+    bfaces = mesh.boundary_faces
+    on_outer = np.all(_wall_nodes(mesh, g.tank_radius)[bfaces], axis=1)
+    assert _face_set(mesh.outer_faces) == _face_set(bfaces[on_outer])
+    assert len(mesh.outer_faces) == on_outer.sum()
+    assert on_outer.any()
 
 
 def test_boundary_faces_partition(tiny_mesh):
-    # every boundary face must lie on exactly one wall class; validate_mesh
-    # reports any face that does not
-    rep = validate_mesh(tiny_mesh)
-    assert not [i for i in rep.issues if i.kind == "unclassified_boundary"]
+    # every boundary face must lie on exactly one wall class
     g = tiny_mesh.geometry
     bfaces = tiny_mesh.boundary_faces
     rho = np.hypot(tiny_mesh.nodes[:, 0], tiny_mesh.nodes[:, 1])
