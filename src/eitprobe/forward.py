@@ -8,6 +8,13 @@ reduced system is symmetric positive definite; it is factorized once per
 conductivity, in SuperLU's symmetric mode with diagonal pivoting, and the
 factor is reused across every injection.
 
+Assembly computes per call only the values that scale with the
+conductivity or the contact impedance. The sparsity pattern, the element
+kernels grad phi_i . grad phi_j, the electrode terms at unit admittance and
+the connectivity verdict are computed once per mesh and held by it
+(``Mesh.cem_pattern``); the entries keep one order, so the assembled matrix
+is the same to the bit as one built from scratch.
+
 Voltages scale linearly with injected current and, when conductivity and
 interface conductance are scaled together, inversely with the conductivity
 scale.
@@ -15,7 +22,6 @@ scale.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,7 +29,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy.sparse import coo_matrix, csc_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .errors import DimensionError, SingularSystemError, SolverError
@@ -94,6 +99,12 @@ class MeasurementSchedule:
         return out
 
     @cached_property
+    def _csv_prefixes(self) -> list[str]:
+        """The ``injection,meas_plus,meas_minus,`` start of each row of a
+        frame CSV file."""
+        return [f"{d},{p},{m}," for d, p, m in self.rows.tolist()]
+
+    @cached_property
     def pair_midpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-pair (azimuth midpoint, layer) used by the noise model."""
         az = self.electrode_azimuth
@@ -157,12 +168,6 @@ def check_conductivity(mesh: Mesh, sigma: np.ndarray) -> np.ndarray:
 
 def homogeneous_field(mesh: Mesh, value: float) -> np.ndarray:
     return np.full(mesh.n_elements, float(value))
-
-
-def _face_areas(nodes: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    p = nodes[faces]
-    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    return 0.5 * np.linalg.norm(cross, axis=1)
 
 
 def _factor_spd(matrix: csc_matrix, error: type[Exception]):
@@ -229,57 +234,27 @@ class SparseSystem:
 def assemble_system(mesh: Mesh, sigma: np.ndarray,
                     contact_impedance: float = DEFAULT_CONTACT_IMPEDANCE,
                     ) -> SparseSystem:
-    """Assemble the CEM system for a per-element conductivity field."""
+    """Assemble the CEM system for a per-element conductivity field.
+
+    Only the values that depend on ``sigma`` and the contact impedance are
+    computed here; the sparsity, the element kernels, the electrode terms
+    at unit admittance and the connectivity come from ``mesh.cem_pattern``.
+    """
     sigma = check_conductivity(mesh, sigma)
     if not (contact_impedance > 0 and math.isfinite(contact_impedance)):
         raise ValueError("contact impedance must be positive and finite")
-    n, l = mesh.n_nodes, mesh.n_electrodes
-    grads = mesh.shape_gradients
-    vols = mesh.volumes
-
-    ke = np.einsum("eik,ejk->eij", grads, grads) * (sigma * vols)[:, None, None]
-    ii = np.broadcast_to(mesh.tets[:, :, None], (len(vols), 4, 4))
-    jj = np.broadcast_to(mesh.tets[:, None, :], (len(vols), 4, 4))
-
-    rows = [ii.ravel()]
-    cols = [jj.ravel()]
-    vals = [ke.ravel()]
-
-    z = contact_impedance
-    for k, patch in enumerate(mesh.electrodes):
-        fa = _face_areas(mesh.nodes, patch)
-        # boundary mass: int phi_i phi_j over each patch face
-        mass = (np.ones((3, 3)) + np.eye(3)) / 12.0
-        mvals = mass[None, :, :] * fa[:, None, None] / z
-        fi = np.broadcast_to(patch[:, :, None], mvals.shape)
-        fj = np.broadcast_to(patch[:, None, :], mvals.shape)
-        rows.append(fi.ravel())
-        cols.append(fj.ravel())
-        vals.append(mvals.ravel())
-        # coupling: -(1/z) int phi_i against the electrode dof
-        w = np.repeat(fa / 3.0, 3) / z
-        pidx = patch.ravel()
-        eidx = np.full(pidx.shape, n + k)
-        rows.extend([pidx, eidx])
-        cols.extend([eidx, pidx])
-        vals.extend([-w, -w])
-        rows.append(np.array([n + k]))
-        cols.append(np.array([n + k]))
-        vals.append(np.array([fa.sum() / z]))
-
-    full = coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n + l, n + l)).tocsc()
+    pat = mesh.cem_pattern
+    if pat.n_components != 1:
+        raise SingularSystemError(
+            f"system graph has {pat.n_components} components; grounding one "
+            "dof cannot fix the potential everywhere")
+    size = mesh.n_nodes + mesh.n_electrodes
+    ke = pat.kernels * (sigma * mesh.volumes)[:, None, None]
+    vals = np.concatenate([ke.ravel(),
+                           pat.electrode_values / contact_impedance])
+    full = coo_matrix((vals, (pat.rows, pat.cols)), shape=(size, size)).tocsc()
     # make symmetry exact rather than accurate-to-roundoff
     full = ((full + full.T) * 0.5).tocsc()
-
-    graph = full.copy()
-    graph.data = np.abs(graph.data)
-    n_comp, _ = connected_components(graph, directed=False)
-    if n_comp != 1:
-        raise SingularSystemError(
-            f"system graph has {n_comp} components; grounding one dof cannot "
-            "fix the potential everywhere")
 
     # ground a mesh node, not an electrode: that keeps every electrode
     # equation inside the reduced system, so computed electrode currents
@@ -339,19 +314,22 @@ def compute_jacobian(mesh: Mesh, sigma: np.ndarray,
     pattern.validate()
     system = assemble_system(mesh, sigma, contact_impedance)
     sols = solve_injections(system, schedule, 1.0)
-    nodal = sols[:mesh.n_nodes, :]
-    w = nodal[mesh.tets, :]                              # (M, 4, P)
+    w = sols[:mesh.n_nodes, :][mesh.tets, :]                 # (M, 4, P)
     ge = np.einsum("mfp,mfk->mpk", w, mesh.shape_gradients)  # (M, P, 3)
-    vols = mesh.volumes
-    n_rows = schedule.n_measurements
-    out = np.empty((n_rows, mesh.n_elements))
+    # (P, 3, M): each gradient component of each solution is one
+    # contiguous row, so the products below run over unit-stride rows
+    g = np.ascontiguousarray(ge.transpose(1, 2, 0))
+    del w, ge
+    out = np.empty((schedule.n_measurements, mesh.n_elements))
     k = 0
     for d in range(schedule.n_injections):
         ret = schedule.retained[d]
-        block = np.einsum("mk,mpk->pm", ge[:, d, :], ge[:, ret, :])
-        out[k:k + len(ret)] = block
+        block = out[k:k + len(ret)]
+        np.multiply(g[ret, 0], g[d, 0], out=block)
+        block += g[ret, 1] * g[d, 1]
+        block += g[ret, 2] * g[d, 2]
         k += len(ret)
-    out *= -pattern.amplitude * vols[None, :]
+    out *= -pattern.amplitude * mesh.volumes[None, :]
     return Jacobian(matrix=out, mesh_id=mesh.mesh_id,
                     schedule_id=schedule.schedule_id)
 
@@ -363,35 +341,36 @@ FRAME_HEADER = ["injection", "meas_plus", "meas_minus", "volts"]
 
 def write_frame_csv(frame: VoltageFrame, schedule: MeasurementSchedule,
                     path: str | Path) -> None:
+    """Write a frame as CSV: the header, then one row per measurement with
+    its schedule columns and the shortest repr of its value, CRLF line
+    ends."""
     if frame.values.shape[0] != schedule.n_measurements:
         raise DimensionError("frame length does not match schedule")
-    rows = schedule.rows
+    lines = [p + repr(v) for p, v in zip(schedule._csv_prefixes,
+                                         frame.values.tolist())]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FRAME_HEADER)
-        for k in range(schedule.n_measurements):
-            writer.writerow([int(rows[k, 0]), int(rows[k, 1]), int(rows[k, 2]),
-                             repr(float(frame.values[k]))])
+        fh.write("\r\n".join([",".join(FRAME_HEADER), *lines, ""]))
 
 
 def read_frame_csv(path: str | Path, schedule: MeasurementSchedule) -> VoltageFrame:
+    """Read a frame written by ``write_frame_csv``, checking the header, the
+    row count, four fields per row and the schedule columns of every row."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != FRAME_HEADER:
-            raise ValueError(f"unexpected frame header {header}")
-        rows = list(reader)
+        lines = fh.read().splitlines()
+    header = lines[0].split(",") if lines else []
+    if header != FRAME_HEADER:
+        raise ValueError(f"unexpected frame header {header}")
+    rows = [line.split(",") if line else [] for line in lines[1:]]
     if len(rows) != schedule.n_measurements:
         raise DimensionError(
             f"frame has {len(rows)} rows, schedule expects "
             f"{schedule.n_measurements}")
-    expect = schedule.rows
-    values = np.empty(schedule.n_measurements)
+    expect = schedule.rows.tolist()
     for k, row in enumerate(rows):
         if len(row) != len(FRAME_HEADER):
             raise ValueError(f"frame row {k} has {len(row)} fields, "
                              f"expected {len(FRAME_HEADER)}")
-        if [int(row[0]), int(row[1]), int(row[2])] != expect[k].tolist():
+        if [int(row[0]), int(row[1]), int(row[2])] != expect[k]:
             raise ValueError(f"frame row {k} does not match the schedule")
-        values[k] = float(row[3])
+    values = np.array([float(row[3]) for row in rows])
     return VoltageFrame(values=values, schedule_id=schedule.schedule_id)

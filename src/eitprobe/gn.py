@@ -89,7 +89,7 @@ def smoothness_prior(mesh: Mesh):
 def build_reconstruction_matrix(jac: Jacobian, mesh: Mesh,
                                 cfg: GnConfig) -> ReconstructionMatrix:
     """Nodal one-step GN matrix: ``reconstruct_gn`` applies it as is."""
-    return _build(jac, mesh, cfg, _averaging_map(mesh))
+    return _build(jac, mesh, cfg, mesh.averaging_map)
 
 
 def _element_reconstruction_matrix(jac: Jacobian, mesh: Mesh,
@@ -144,24 +144,13 @@ def _build(jac: Jacobian, mesh: Mesh, cfg: GnConfig,
                                 schedule_id=jac.schedule_id, config=cfg)
 
 
-def _averaging_map(mesh: Mesh) -> csr_matrix:
-    """Sparse nodes-by-elements map to the volume-weighted mean of the
-    elements incident to each node; a node in no element maps to zero."""
-    flat = mesh.tets.ravel()
-    weights = np.repeat(mesh.volumes, 4)
-    wsum = np.bincount(flat, weights=weights, minlength=mesh.n_nodes)
-    cols = np.repeat(np.arange(mesh.n_elements), 4)
-    return csr_matrix((weights / wsum[flat], (flat, cols)),
-                      shape=(mesh.n_nodes, mesh.n_elements))
-
-
 def element_to_nodal(values: np.ndarray, mesh: Mesh) -> np.ndarray:
     """Volume-weighted mean of the elements incident to each node."""
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (mesh.n_elements,):
         raise DimensionError(
             f"image has {values.shape} entries, mesh has {mesh.n_elements} elements")
-    return _averaging_map(mesh) @ values
+    return mesh.averaging_map @ values
 
 
 def reconstruct_gn(rmat: ReconstructionMatrix, dv, mesh: Mesh) -> np.ndarray:

@@ -18,8 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import GeometryError, MeshingError
 from .ioutil import canonical_json_bytes, sha256_hex
@@ -179,6 +182,23 @@ class Mesh:
         return np.concatenate([g0, g123], axis=1)
 
     @cached_property
+    def cem_pattern(self) -> CemPattern:
+        """The conductivity-free part of the complete-electrode-model
+        system on this mesh, computed once and shared by every assembly."""
+        return _cem_pattern(self)
+
+    @cached_property
+    def averaging_map(self) -> csr_matrix:
+        """Sparse nodes-by-elements map to the volume-weighted mean of the
+        elements incident to each node; a node in no element maps to zero."""
+        flat = self.tets.ravel()
+        weights = np.repeat(self.volumes, 4)
+        wsum = np.bincount(flat, weights=weights, minlength=self.n_nodes)
+        cols = np.repeat(np.arange(self.n_elements), 4)
+        return csr_matrix((weights / wsum[flat], (flat, cols)),
+                          shape=(self.n_nodes, self.n_elements))
+
+    @cached_property
     def _faces(self):
         return _face_table(self.tets)
 
@@ -194,6 +214,63 @@ class Mesh:
     def boundary_faces(self) -> np.ndarray:
         faces, _owners, counts = self._faces
         return faces[counts == 1]
+
+
+class CemPattern(NamedTuple):
+    """Sparsity and conductivity-free values of the complete-electrode-model
+    system; the unknowns are the nodal potentials, then one potential per
+    electrode. The COO entries are the 16 element stiffness entries of each
+    element (row-major), then per electrode patch the boundary mass of each
+    face, the two coupling blocks and the electrode diagonal. Every array
+    is read-only."""
+
+    kernels: np.ndarray         # (n_elements, 4, 4) grad phi_i . grad phi_j
+    rows: np.ndarray            # int32 COO row of every entry
+    cols: np.ndarray            # int32 COO column of every entry
+    electrode_values: np.ndarray  # electrode-term entries at unit admittance
+    n_components: int           # connected components of the system graph
+
+
+def _face_areas(nodes: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    p = nodes[faces]
+    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    return 0.5 * np.linalg.norm(cross, axis=1)
+
+
+def _cem_pattern(mesh: Mesh) -> CemPattern:
+    n = mesh.n_nodes
+    grads = mesh.shape_gradients
+    kernels = np.einsum("eik,ejk->eij", grads, grads)
+    shape = (mesh.n_elements, 4, 4)
+    rows = [np.broadcast_to(mesh.tets[:, :, None], shape).ravel()]
+    cols = [np.broadcast_to(mesh.tets[:, None, :], shape).ravel()]
+    vals = []
+    # boundary mass: int phi_i phi_j over each patch face
+    mass = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    for k, patch in enumerate(mesh.electrodes):
+        fa = _face_areas(mesh.nodes, patch)
+        fi = np.broadcast_to(patch[:, :, None], (len(patch), 3, 3))
+        fj = np.broadcast_to(patch[:, None, :], (len(patch), 3, 3))
+        # coupling: -int phi_i against the electrode dof
+        w = np.repeat(fa / 3.0, 3)
+        pidx = patch.ravel()
+        eidx = np.full(pidx.shape, n + k)
+        rows += [fi.ravel(), pidx, eidx, [n + k]]
+        cols += [fj.ravel(), eidx, pidx, [n + k]]
+        vals += [(mass[None, :, :] * fa[:, None, None]).ravel(), -w, -w,
+                 [fa.sum()]]
+    rows = np.concatenate(rows).astype(np.int32)
+    cols = np.concatenate(cols).astype(np.int32)
+    size = n + mesh.n_electrodes
+    graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(size, size))
+    n_components, _ = connected_components(graph, directed=False)
+    pattern = CemPattern(kernels=kernels, rows=rows, cols=cols,
+                         electrode_values=np.concatenate(vals),
+                         n_components=int(n_components))
+    for a in (pattern.kernels, pattern.rows, pattern.cols,
+              pattern.electrode_values):
+        a.flags.writeable = False
+    return pattern
 
 
 def _signed_volumes(nodes: np.ndarray, tets: np.ndarray) -> np.ndarray:

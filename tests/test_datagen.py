@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 from scipy.stats import kstest
 
+from eitprobe import datagen
 from eitprobe.datagen import (NOISE_OFF, NoiseModel, SampleBounds, TargetSpec,
                               add_noise, gen_dataset, load_manifest,
                               load_training_arrays, make_sample,
@@ -29,11 +31,31 @@ TINY_BOUNDS = SampleBounds(max_distance=3.0, semi_axes=(1.0, 1.5, 2.0))
 
 @pytest.fixture(scope="module")
 def draws():
+    """1,000 default targets and their distances, plus every placement
+    (the arguments and result of ``_place_radius``) and the number of
+    distance-kernel calls the placements made."""
     rng = np.random.default_rng(42)
     bounds = SampleBounds()
-    targets = [sample_target(rng, GEOM, bounds) for _ in range(1000)]
+    placements = []
+    calls = 0
+
+    def place(*args):
+        r = place_radius(*args)
+        placements.append((*args, r))
+        return r
+
+    def edge_distance(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return kernel(*args, **kwargs)
+
+    place_radius, kernel = datagen._place_radius, datagen._edge_distance
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datagen, "_place_radius", place)
+        mp.setattr(datagen, "_edge_distance", edge_distance)
+        targets = [sample_target(rng, GEOM, bounds) for _ in range(1000)]
     dist = np.array([target_probe_distance(t, GEOM) for t in targets])
-    return targets, dist
+    return targets, dist, placements, calls
 
 
 @pytest.fixture(scope="module")
@@ -77,23 +99,48 @@ class TestTargetSampling:
         assert a == b
 
     def test_all_draws_within_bound(self, draws):
-        _, dist = draws
+        _, dist, _, _ = draws
         assert np.all(dist <= 10.0 + 1e-8)
         assert np.all(dist >= 0.0)
 
     def test_distance_distribution_uniform(self, draws):
-        _, dist = draws
+        _, dist, _, _ = draws
         stat = kstest(dist / 10.0, "uniform").statistic
         assert stat < 0.05
 
     def test_height_band_and_rotation(self, draws):
-        targets, _ = draws
+        targets, _, _, _ = draws
         for t in targets[:50]:
             assert abs(t.center[2]) <= 2.0
             assert abs(sum(q * q for q in t.quat) - 1.0) < 1e-9
             r = t.rotation_matrix()
             assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
             assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
+
+    def test_placement_brackets_the_requested_distance(self, draws):
+        # by the kernel's thresholded comparison, the returned radius reaches
+        # the requested distance and one step less does not, a step being
+        # the width 48 bisection steps leave of the initial bracket; the
+        # rotation is taken as the placement takes it, so both round alike
+        _, _, placements, _ = draws
+        assert len(placements) == 1000
+        for azimuth, z0, want, axes, quat, geom, r in placements:
+            rot = Rotation.from_quat(quat).as_matrix()
+            step = (geom.probe_radius + want + max(axes) + 1.0) * 2.0 ** -48
+
+            def dist_at(rho):
+                center = (rho * math.cos(azimuth), rho * math.sin(azimuth), z0)
+                return datagen._edge_distance(
+                    rot, center, axes, geom.probe_radius,
+                    geom.probe_height / 2.0, threshold=want)
+
+            assert dist_at(r) >= want
+            assert dist_at(r - step) < want
+
+    def test_placement_needs_few_kernel_calls(self, draws):
+        # 48 bisection steps plus the bracket check took 49 calls each
+        _, _, placements, calls = draws
+        assert calls / len(placements) <= 20
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
@@ -130,7 +177,7 @@ class TestDistanceKernel:
     def test_matches_surface_sampling_oracle(self, draws):
         # sampling the ellipsoid surface can only overestimate the true
         # minimum, and a dense net comes close to it
-        targets, dist = draws
+        targets, dist, _, _ = draws
         dirs = _fibonacci_sphere(20000)
         for t, d in zip(targets[:8], dist[:8]):
             rot = _quat_matrix(t.quat)

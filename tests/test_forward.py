@@ -1,8 +1,10 @@
+import csv
 import hashlib
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
 from eitprobe.datagen import TargetSpec, rasterize_target
@@ -11,6 +13,7 @@ from eitprobe.forward import (DEFAULT_CONTACT_IMPEDANCE, SparseSystem,
                               StimPattern, assemble_system, compute_jacobian,
                               homogeneous_field, read_frame_csv, solve_forward,
                               solve_injections, write_frame_csv)
+from eitprobe.mesh import _face_areas
 from eitprobe.mesh import Mesh
 
 SIGMA_REF = 0.15
@@ -75,6 +78,65 @@ def test_matrix_linear_in_sigma_and_admittance(tiny_mesh):
     assert np.array_equal(b.indptr, a.indptr)
     assert np.array_equal(b.indices, a.indices)
     assert np.array_equal(b.data, 2.0 * a.data)
+
+
+def _assemble_per_call(mesh, sigma, z):
+    """The whole CEM assembly computed from scratch, entry order and all;
+    assemble_system takes every conductivity-free part from the mesh."""
+    n, l = mesh.n_nodes, mesh.n_electrodes
+    grads = mesh.shape_gradients
+    vols = mesh.volumes
+    ke = np.einsum("eik,ejk->eij", grads, grads) * (sigma * vols)[:, None, None]
+    ii = np.broadcast_to(mesh.tets[:, :, None], (len(vols), 4, 4))
+    jj = np.broadcast_to(mesh.tets[:, None, :], (len(vols), 4, 4))
+    rows, cols, vals = [ii.ravel()], [jj.ravel()], [ke.ravel()]
+    for k, patch in enumerate(mesh.electrodes):
+        fa = _face_areas(mesh.nodes, patch)
+        mass = (np.ones((3, 3)) + np.eye(3)) / 12.0
+        mvals = mass[None, :, :] * fa[:, None, None] / z
+        rows.append(np.broadcast_to(patch[:, :, None], mvals.shape).ravel())
+        cols.append(np.broadcast_to(patch[:, None, :], mvals.shape).ravel())
+        vals.append(mvals.ravel())
+        w = np.repeat(fa / 3.0, 3) / z
+        pidx = patch.ravel()
+        eidx = np.full(pidx.shape, n + k)
+        rows += [pidx, eidx, np.array([n + k])]
+        cols += [eidx, pidx, np.array([n + k])]
+        vals += [-w, -w, np.array([fa.sum() / z])]
+    full = coo_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n + l, n + l)).tocsc()
+    return ((full + full.T) * 0.5).tocsc()
+
+
+def _assert_same_matrix(a, b):
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data, b.data)
+
+
+def test_assembly_matches_the_per_call_algorithm(tiny_mesh_alt):
+    target = TargetSpec(center=(2.5, 0.0, 0.0), semi_axes=(1.0, 1.5, 2.0))
+    sigma = rasterize_target(tiny_mesh_alt, target)
+    assert 0 < np.count_nonzero(sigma == target.sigma_in) < sigma.size
+    for z in (DEFAULT_CONTACT_IMPEDANCE, 0.3):
+        _assert_same_matrix(assemble_system(tiny_mesh_alt, sigma, z).matrix,
+                            _assemble_per_call(tiny_mesh_alt, sigma, z))
+
+
+def test_assembly_keeps_no_conductivity_state(tiny_mesh_alt):
+    # alternating fields and impedances: every call matches a fresh
+    # assembly, and the pattern the mesh holds cannot be written to
+    rng = np.random.default_rng(4)
+    cases = [(rng.uniform(0.05, 0.3, tiny_mesh_alt.n_elements), z)
+             for z in (DEFAULT_CONTACT_IMPEDANCE, 0.07)]
+    for sigma, z in cases + cases:
+        _assert_same_matrix(assemble_system(tiny_mesh_alt, sigma, z).matrix,
+                            _assemble_per_call(tiny_mesh_alt, sigma, z))
+    pattern = tiny_mesh_alt.cem_pattern
+    for a in (pattern.kernels, pattern.rows, pattern.cols,
+              pattern.electrode_values):
+        assert not a.flags.writeable
 
 
 def test_sparse_solution_matches_dense_lu(tiny_mesh, tiny_system):
@@ -206,6 +268,20 @@ def test_jacobian_matches_finite_differences(tiny_mesh, tiny_schedule):
         assert ok.all(), f"element {e}: worst abs {err.max():.3e}"
 
 
+def test_jacobian_matches_the_einsum_products(tiny_mesh, tiny_schedule,
+                                              tiny_jacobian):
+    # the per-injection einsum the products replaced, as the reference
+    system = assemble_system(tiny_mesh, homogeneous_field(tiny_mesh, SIGMA_REF))
+    sols = solve_injections(system, tiny_schedule, 1.0)
+    ge = np.einsum("mfp,mfk->mpk", sols[:tiny_mesh.n_nodes][tiny_mesh.tets],
+                   tiny_mesh.shape_gradients)
+    blocks = [np.einsum("mk,mpk->pm", ge[:, d, :], ge[:, ret, :])
+              for d, ret in enumerate(tiny_schedule.retained)]
+    expect = np.concatenate(blocks)
+    expect *= -StimPattern().amplitude * tiny_mesh.volumes[None, :]
+    assert np.array_equal(tiny_jacobian.matrix, expect)
+
+
 def test_jacobian_deterministic(tiny_mesh, tiny_schedule):
     sigma = homogeneous_field(tiny_mesh, SIGMA_REF)
     a = compute_jacobian(tiny_mesh, sigma, StimPattern(), tiny_schedule)
@@ -237,6 +313,42 @@ def test_frame_csv_round_trip(tiny_system, tiny_schedule, tmp_path):
     header = path.read_text().splitlines()[0]
     assert header == "injection,meas_plus,meas_minus,volts"
     assert len(path.read_text().splitlines()) == 929
+
+
+def test_frame_csv_bytes_match_csv_writer(tiny_system, tiny_schedule,
+                                         tmp_path):
+    frame = solve_forward(tiny_system, StimPattern(), tiny_schedule)
+    path = tmp_path / "frame.csv"
+    write_frame_csv(frame, tiny_schedule, path)
+    oracle = tmp_path / "oracle.csv"
+    with open(oracle, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["injection", "meas_plus", "meas_minus", "volts"])
+        for (d, p, m), v in zip(tiny_schedule.rows, frame.values):
+            writer.writerow([int(d), int(p), int(m), repr(float(v))])
+    assert path.read_bytes() == oracle.read_bytes()
+
+
+# line k of the file is row k - 1; an int replacement copies that line
+@pytest.mark.parametrize("edits, message", [
+    ({0: "injection,meas_plus,volts"}, "unexpected frame header"),
+    ({8: 9}, "row 7 does not match"),
+    # the first bad row is reported, whichever check it fails
+    ({8: 9, 10: "1,2,3"}, "row 7 does not match"),
+    ({8: "1,2,3", 10: 11}, "row 7 has 3 fields"),
+    ({8: ""}, "row 7 has 0 fields"),
+])
+def test_frame_csv_names_the_bad_row(tiny_system, tiny_schedule, tmp_path,
+                                     edits, message):
+    frame = solve_forward(tiny_system, StimPattern(), tiny_schedule)
+    path = tmp_path / "frame.csv"
+    write_frame_csv(frame, tiny_schedule, path)
+    lines = path.read_text().splitlines()
+    for k, new in edits.items():
+        lines[k] = lines[new] if isinstance(new, int) else new
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message):
+        read_frame_csv(path, tiny_schedule)
 
 
 def test_frame_csv_rejects_wrong_schedule(tiny_system, tiny_schedule, tmp_path):
@@ -277,5 +389,7 @@ def test_disconnected_system_rejected(tiny_mesh):
     nodes = np.vstack([tiny_mesh.nodes, [[50.0, 50.0, 50.0]]])
     orphaned = Mesh(geometry=tiny_mesh.geometry, nodes=nodes, tets=tiny_mesh.tets,
                     electrodes=tiny_mesh.electrodes, outer_faces=tiny_mesh.outer_faces)
-    with pytest.raises(SingularSystemError):
-        assemble_system(orphaned, homogeneous_field(orphaned, SIGMA_REF))
+    # the verdict is kept with the mesh, and a second call still refuses
+    for _ in range(2):
+        with pytest.raises(SingularSystemError):
+            assemble_system(orphaned, homogeneous_field(orphaned, SIGMA_REF))
