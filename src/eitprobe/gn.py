@@ -13,9 +13,14 @@ identity
 so only the sparse prior S and a dense measurement-by-measurement block are
 ever factorized; an element-by-element dense matrix is never formed. Both
 are SPD: the dense block is Cholesky-factorized, and S is factorized by
-SuperLU in symmetric mode with diagonal pivoting. The right-hand sides U
-are streamed in blocks of measurement columns, so no element-by-measurement
-array beyond one block is held besides the Jacobian.
+SuperLU in symmetric mode with diagonal pivoting.
+
+Reciprocal measurements share one Jacobian row (see ``forward.Jacobian``),
+so the columns of U repeat: S^-1 U and U' S^-1 U are formed on the distinct
+rows and expanded by the Jacobian's ``row_index``. The build makes one
+sparse solve per distinct row, 464 for the adjacent schedule's 928
+measurements. The right-hand sides are streamed in blocks, so no
+element-by-row array beyond one block is held besides the Jacobian.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .pdipm import build_tv_operator
 
 DEFAULT_LAMBDA = 0.03
 _PRIOR_RIDGE = 1e-8
-# measurement columns per solve block of the matrix build; caps its working
+# Jacobian rows per solve block of the matrix build; caps its working
 # set at a few element-by-block arrays
 _BLOCK_COLUMNS = 128
 
@@ -102,19 +107,18 @@ def _element_reconstruction_matrix(jac: Jacobian, mesh: Mesh,
 def _build(jac: Jacobian, mesh: Mesh, cfg: GnConfig,
            avg: csr_matrix) -> ReconstructionMatrix:
     """R = avg V^-1 W (I + U' W)^-1 / scale with U = (J V^-1 / scale)' and
-    W = S^-1 U, V = diag(volumes); U and W exist one column block at a
-    time, and only the two products with them are kept."""
+    W = S^-1 U, V = diag(volumes). Twin measurements share a Jacobian row,
+    so U and W are formed on the distinct rows only, one column block at a
+    time, and expanded to the measurements by ``row_index``."""
     cfg.validate()
     if jac.mesh_id != mesh.mesh_id:
         raise ProvenanceError("Jacobian was computed on a different mesh")
-    jmat = jac.matrix
-    n_meas = jmat.shape[0]
+    jmat, index = jac.matrix, jac.row_index
+    n_rows, n_meas = jmat.shape[0], index.size
     vols = mesh.volumes
-    blocks = [slice(i, i + _BLOCK_COLUMNS)
-              for i in range(0, n_meas, _BLOCK_COLUMNS)]
     # sensitivity entries grow with element volume; dividing the columns by
     # volume puts coarse far elements and fine near elements on one scale
-    sq = sum(np.linalg.norm(jmat[b] / vols) ** 2 for b in blocks)
+    sq = jac.counts @ np.einsum("ij,ij,j->i", jmat, jmat, vols ** -2.0)
     scale = math.sqrt(sq / n_meas)
     if not 0 < scale < math.inf:
         raise IllConditionedError(
@@ -122,21 +126,28 @@ def _build(jac: Jacobian, mesh: Mesh, cfg: GnConfig,
     unscale = vols * scale
     s = _factor_spd((cfg.lam ** 2 * smoothness_prior(mesh)).tocsc(),
                     IllConditionedError)
-    g = np.eye(n_meas)
-    z = np.empty((avg.shape[0], n_meas))
-    for b in blocks:
+    k = np.empty((n_rows, n_rows))
+    z = np.empty((avg.shape[0], n_rows))
+    for i in range(0, n_rows, _BLOCK_COLUMNS):
+        b = slice(i, i + _BLOCK_COLUMNS)
         # the transpose of a row block is Fortran-ordered, as SuperLU wants
         w = s.solve((jmat[b] / unscale).T)
         w /= unscale[:, None]
-        g[:, b] += jmat @ w
+        k[:, b] = jmat @ w
         z[:, b] = avg @ w
-    g = 0.5 * (g + g.T)
+    k = 0.5 * (k + k.T)
+    g = k[np.ix_(index, index)]
+    g.flat[::n_meas + 1] += 1.0
     try:
-        cho = cho_factor(g, lower=True)
+        # g is exactly symmetric, so g.T is g in the Fortran order LAPACK
+        # wants, and the factorization overwrites it in place
+        cho = cho_factor(g.T, lower=True, overwrite_a=True)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(
             f"regularized normal matrix is not positive definite: {exc}") from exc
-    # z.T is Fortran-ordered, so the solve overwrites it in place
+    # take keeps z C-ordered, so z.T is Fortran-ordered and the solve
+    # overwrites it in place
+    z = np.take(z, index, axis=1)
     r = cho_solve(cho, z.T, overwrite_b=True).T
     if not np.all(np.isfinite(r)):
         raise IllConditionedError("reconstruction matrix has non-finite entries")

@@ -12,6 +12,15 @@ J'J + alpha L'DL, which never needs the normal matrix in memory. J and dv
 are normalized by the root-mean-square row norm of J, so alpha is
 calibrated against unit-scale operators; J is normalized implicitly, by
 dividing its products, so no scaled copy of it is held.
+
+J is held as its distinct reciprocal rows Jd, with J = Jd[row_index] (see
+``forward.Jacobian``). A product J v is Jd v expanded by ``row_index``;
+J' r is Jd' applied to r folded onto the distinct rows, that is summed over
+twins; and the CG operator is Jd' (c * Jd v) / scale^2 + alpha L'DL v, with
+c the number of measurements per row. So every dense product runs over the
+464 distinct rows, not the 928 measurements. The residual, the objective
+and the data keep one entry per measurement, because twin measurements
+carry different noise.
 """
 
 from __future__ import annotations
@@ -82,11 +91,15 @@ def build_tv_operator(mesh: Mesh) -> TvOperator:
 
 @dataclass(eq=False)
 class ConvergenceTrace:
-    """Per-iteration objective, accepted step length and dual bound."""
+    """Per accepted Newton step: the objective, the step length, the dual
+    bound, the conjugate-gradient iterations of the Newton solve and the
+    line-search shrinks before the step was accepted."""
 
     objective: list = field(default_factory=list)
     step_len: list = field(default_factory=list)
     dual_max: list = field(default_factory=list)
+    cg_iters: list = field(default_factory=list)
+    shrinks: list = field(default_factory=list)
     stopped_reason: str = "max_iters"
 
     @property
@@ -94,36 +107,45 @@ class ConvergenceTrace:
         return len(self.objective)
 
 
-def _cg(apply_op, rhs: np.ndarray) -> np.ndarray:
+def _cg(apply_op, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     """CG from zero on an SPD operator, stopped early or at a non-positive
-    curvature, so the result is always a descent direction for rhs."""
+    curvature, so the result is always a descent direction for rhs. Also
+    returns the number of iterations, each one operator product."""
     x, r, p = np.zeros_like(rhs), rhs.copy(), rhs.copy()
     rs = r @ r
     tol2 = (_CG_RTOL ** 2) * rs
-    for _ in range(_CG_ITERS):
+    for n in range(_CG_ITERS):
         if rs <= tol2:
-            break
+            return x, n
         q = apply_op(p)
         pq = p @ q
         if pq <= 0:
-            break
+            return x, n + 1
         a = rs / pq
         x += a * p
         r -= a * q
         rs_new = r @ r
         p = r + (rs_new / rs) * p
         rs = rs_new
-    return x
+    return x, _CG_ITERS
 
 
-def _solve(jmat: np.ndarray, scale: float, lop: csr_matrix, data: np.ndarray,
+def _solve(jac: Jacobian, scale: float, lop: csr_matrix, data: np.ndarray,
            cfg: PdipmConfig) -> tuple[np.ndarray, ConvergenceTrace]:
     """Interior-point iteration on one normalized frame; the normalized
-    Jacobian jmat / scale is never formed."""
+    Jacobian J / scale is never formed, nor is J expanded to one row per
+    measurement."""
+    jmat, index = jac.matrix, jac.row_index
+    counts = jac.counts
     alpha = cfg.alpha
     scale2 = scale * scale
-    back = (jmat.T @ data) / scale
-    fit = (jmat @ back) / scale
+
+    def fold(v):
+        # J' v = jmat' fold(v): sum each measurement onto its distinct row
+        return np.bincount(index, weights=v, minlength=jmat.shape[0])
+
+    back = (jmat.T @ fold(data)) / scale
+    fit = (jmat @ back)[index] / scale
     den = fit @ fit
     c = (data @ fit) / den if den > 0 else 0.0
     beta = float(np.clip(1e-4 * np.abs(back * c).max(), 1e-12, 1e-2))
@@ -139,18 +161,18 @@ def _solve(jmat: np.ndarray, scale: float, lop: csr_matrix, data: np.ndarray,
         t = lop @ x
         phi = np.sqrt(t * t + beta * beta)
         f_cur = objective(resid, t)
-        grad = (jmat.T @ resid) / scale + alpha * (lop.T @ (t / phi))
+        grad = (jmat.T @ fold(resid)) / scale + alpha * (lop.T @ (t / phi))
         dual_w = (1.0 - y * t / phi) / phi
 
         def apply_op(v):
-            return ((jmat.T @ (jmat @ v)) / scale2
+            return ((jmat.T @ (counts * (jmat @ v))) / scale2
                     + alpha * (lop.T @ (dual_w * (lop @ v))))
 
-        dx = _cg(apply_op, -grad)
-        q, ld, gdot = (jmat @ dx) / scale, lop @ dx, grad @ dx
+        dx, cg_iters = _cg(apply_op, -grad)
+        q, ld, gdot = (jmat @ dx)[index] / scale, lop @ dx, grad @ dx
 
         s = 1.0
-        for _ in range(_MAX_SHRINKS + 1):
+        for shrinks in range(_MAX_SHRINKS + 1):
             if objective(resid + s * q, t + s * ld) <= f_cur + _ARMIJO_C * s * gdot:
                 break
             s *= _SHRINK
@@ -175,6 +197,8 @@ def _solve(jmat: np.ndarray, scale: float, lop: csr_matrix, data: np.ndarray,
         trace.objective.append(float(f_new))
         trace.step_len.append(float(s))
         trace.dual_max.append(float(np.abs(y).max()))
+        trace.cg_iters.append(cg_iters)
+        trace.shrinks.append(shrinks)
         if (f_cur - f_new) / max(abs(f_new), 1e-300) <= cfg.tol:
             trace.stopped_reason = "tol"
             break
@@ -192,21 +216,22 @@ def reconstruct_pdipm_batch(jac: Jacobian, tv: TvOperator, dv: np.ndarray,
     dv = np.asarray(dv, dtype=np.float64)
     dv = dv[:, None] if dv.ndim == 1 else dv
     jmat = jac.matrix
-    if dv.shape[0] != jmat.shape[0]:
+    if dv.shape[0] != jac.row_index.size:
         raise DimensionError("dv length does not match the measurement count")
     if tv.matrix.shape[1] != jmat.shape[1]:
         raise DimensionError("TV operator and Jacobian disagree on element count")
     if not np.all(np.isfinite(dv)):
         raise ValueError("dv must be finite everywhere")
 
-    scale = np.linalg.norm(jmat) / math.sqrt(jmat.shape[0])
+    row_sq = np.einsum("ij,ij->i", jmat, jmat)
+    scale = math.sqrt(jac.counts @ row_sq / jac.row_index.size)
     if not 0 < scale < math.inf:
         raise IllConditionedError(
             f"Jacobian norm is {scale}: the matrix is zero or not finite")
     images = np.empty((jmat.shape[1], dv.shape[1]))
     traces = []
     for k in range(dv.shape[1]):
-        images[:, k], trace = _solve(jmat, scale, tv.matrix, dv[:, k] / scale,
+        images[:, k], trace = _solve(jac, scale, tv.matrix, dv[:, k] / scale,
                                      cfg)
         traces.append(trace)
     return images, traces

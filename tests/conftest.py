@@ -56,6 +56,22 @@ def tiny_jacobian(tiny_mesh, tiny_schedule):
     return compute_jacobian(tiny_mesh, sigma, StimPattern(), tiny_schedule)
 
 
+@pytest.fixture(scope="session")
+def lopsided_schedule(tiny_schedule):
+    """The adjacent schedule less one measurement per injection, the last
+    retained pair of even drives and the first of odd ones, so that some
+    measurements keep their reciprocal twin and some lose it."""
+    retained = np.array([ret[:-1] if d % 2 == 0 else ret[1:]
+                         for d, ret in enumerate(tiny_schedule.retained)])
+    return dataclasses.replace(tiny_schedule, retained=retained)
+
+
+@pytest.fixture(scope="session")
+def lopsided_jacobian(tiny_mesh, lopsided_schedule):
+    sigma = homogeneous_field(tiny_mesh, SIGMA_REF)
+    return compute_jacobian(tiny_mesh, sigma, StimPattern(), lopsided_schedule)
+
+
 @pytest.fixture
 def tiny_jacobian_nan(tiny_jacobian):
     """The tiny Jacobian with one NaN entry."""

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,24 +263,81 @@ def test_jacobian_matches_finite_differences(tiny_mesh, tiny_schedule):
         vp = solve_forward(assemble_system(tiny_mesh, sp), pat, tiny_schedule).values
         vm = solve_forward(assemble_system(tiny_mesh, sm), pat, tiny_schedule).values
         fd = (vp - vm) / (2.0 * delta)
-        col = jac.matrix[:, e]
+        col = jac.matrix[jac.row_index, e]
         err = np.abs(fd - col)
         ok = (err <= 1e-3 * np.abs(col)) | (err <= 1e-12)
         assert ok.all(), f"element {e}: worst abs {err.max():.3e}"
 
 
+def _einsum_jacobian(mesh, schedule):
+    """One row per measurement by the per-injection einsum, the way the
+    Jacobian was computed before reciprocal rows were shared."""
+    system = assemble_system(mesh, homogeneous_field(mesh, SIGMA_REF))
+    sols = solve_injections(system, schedule, 1.0)
+    ge = np.einsum("mfp,mfk->mpk", sols[:mesh.n_nodes][mesh.tets],
+                   mesh.shape_gradients)
+    blocks = [np.einsum("mk,mpk->pm", ge[:, d, :], ge[:, ret, :])
+              for d, ret in enumerate(schedule.retained)]
+    expect = np.concatenate(blocks)
+    expect *= -StimPattern().amplitude * mesh.volumes[None, :]
+    return expect
+
+
 def test_jacobian_matches_the_einsum_products(tiny_mesh, tiny_schedule,
                                               tiny_jacobian):
-    # the per-injection einsum the products replaced, as the reference
-    system = assemble_system(tiny_mesh, homogeneous_field(tiny_mesh, SIGMA_REF))
-    sols = solve_injections(system, tiny_schedule, 1.0)
-    ge = np.einsum("mfp,mfk->mpk", sols[:tiny_mesh.n_nodes][tiny_mesh.tets],
-                   tiny_mesh.shape_gradients)
-    blocks = [np.einsum("mk,mpk->pm", ge[:, d, :], ge[:, ret, :])
-              for d, ret in enumerate(tiny_schedule.retained)]
-    expect = np.concatenate(blocks)
-    expect *= -StimPattern().amplitude * tiny_mesh.volumes[None, :]
-    assert np.array_equal(tiny_jacobian.matrix, expect)
+    expect = _einsum_jacobian(tiny_mesh, tiny_schedule)
+    assert np.array_equal(tiny_jacobian.matrix[tiny_jacobian.row_index],
+                          expect)
+
+
+def _assert_reciprocal_pairing(schedule, jac):
+    # measurements share a row exactly when they pair the same two
+    # electrode pairs, one as drive and the other as measurement
+    pair_id = {tuple(pq): i for i, pq in enumerate(schedule.pairs.tolist())}
+    row_of = {}
+    for k, (d, a, b) in enumerate(schedule.rows.tolist()):
+        key = frozenset((d, pair_id[(a, b)]))
+        assert row_of.setdefault(key, jac.row_index[k]) == jac.row_index[k]
+    assert sorted(row_of.values()) == list(range(jac.matrix.shape[0]))
+    assert np.array_equal(jac.counts, np.bincount(jac.row_index))
+
+
+def test_jacobian_holds_each_reciprocal_row_once(tiny_schedule, tiny_jacobian):
+    assert tiny_jacobian.matrix.shape[0] == 464
+    assert np.all(tiny_jacobian.counts == 2)
+    _assert_reciprocal_pairing(tiny_schedule, tiny_jacobian)
+    rows, pairs = tiny_schedule.rows, tiny_schedule.pairs
+    for i in range(464):
+        k1, k2 = np.flatnonzero(tiny_jacobian.row_index == i)
+        # the twins swap injection and measurement pair
+        assert np.array_equal(pairs[rows[k1, 0]], rows[k2, 1:])
+        assert np.array_equal(pairs[rows[k2, 0]], rows[k1, 1:])
+
+
+def test_jacobian_of_a_schedule_with_unpaired_rows(tiny_mesh, lopsided_schedule,
+                                                   lopsided_jacobian):
+    counts = lopsided_jacobian.counts
+    assert set(counts.tolist()) == {1, 2}
+    assert counts.sum() == lopsided_schedule.n_measurements == 896
+    _assert_reciprocal_pairing(lopsided_schedule, lopsided_jacobian)
+    expect = _einsum_jacobian(tiny_mesh, lopsided_schedule)
+    assert np.array_equal(
+        lopsided_jacobian.matrix[lopsided_jacobian.row_index], expect)
+
+
+def test_jacobian_memory_stays_below_the_full_matrix(tiny_mesh, tiny_schedule,
+                                                     tiny_jacobian):
+    # one row per measurement would take 46 MB on the tiny mesh; the caches
+    # of the mesh are warm from the fixture, so only the call is counted
+    full = tiny_jacobian.row_index.size * tiny_jacobian.matrix[0].nbytes
+    sigma = homogeneous_field(tiny_mesh, SIGMA_REF)
+    tracemalloc.start()
+    try:
+        compute_jacobian(tiny_mesh, sigma, StimPattern(), tiny_schedule)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < full
 
 
 def test_jacobian_deterministic(tiny_mesh, tiny_schedule):
@@ -292,7 +350,7 @@ def test_jacobian_deterministic(tiny_mesh, tiny_schedule):
 def test_jacobian_sensitivity_decays_with_distance(tiny_mesh, tiny_schedule):
     sigma = homogeneous_field(tiny_mesh, SIGMA_REF)
     jac = compute_jacobian(tiny_mesh, sigma, StimPattern(), tiny_schedule)
-    colnorm = np.linalg.norm(jac.matrix, axis=0)
+    colnorm = np.linalg.norm(jac.matrix[jac.row_index], axis=0)
     rho = np.hypot(tiny_mesh.centroids[:, 0], tiny_mesh.centroids[:, 1])
     z = tiny_mesh.centroids[:, 2]
     near = np.argmin((rho - 1.0) ** 2 + z ** 2)

@@ -1,8 +1,11 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
+from eitprobe import gn
 from eitprobe.errors import DimensionError, IllConditionedError, ProvenanceError
 from eitprobe.forward import VoltageFrame
 from eitprobe.gn import (GnConfig, _element_reconstruction_matrix,
@@ -20,7 +23,7 @@ def _normal_equation_residual(jac, mesh, rmat):
     # the matrix must satisfy (Js'Js + lam^2 s^2 P) (V R) = Js' for the
     # volume-scaled Jacobian Js = J / vol; checked without forming inverses
     vols = mesh.volumes
-    js = jac.matrix / vols[None, :]
+    js = jac.matrix[jac.row_index] / vols[None, :]
     s2 = np.linalg.norm(js) ** 2 / js.shape[0]
     prior = smoothness_prior(mesh)
     m = rmat.matrix * vols[:, None]
@@ -43,7 +46,7 @@ def test_single_element_localization(tiny_jacobian, tiny_mesh, elem_rmat):
     c = tiny_mesh.centroids
     e_star = int(np.argmin((np.hypot(c[:, 0], c[:, 1]) - 1.3) ** 2
                            + c[:, 2] ** 2))
-    dv = tiny_jacobian.matrix[:, e_star] * 0.15
+    dv = tiny_jacobian.matrix[tiny_jacobian.row_index, e_star] * 0.15
     image = elem_rmat.matrix @ dv
     top = int(np.argmax(np.abs(image)))
     shared = set(tiny_mesh.tets[top]) & set(tiny_mesh.tets[e_star])
@@ -60,9 +63,65 @@ def test_matrix_folds_the_nodal_averaging(tiny_mesh, tiny_rmat, elem_rmat):
         assert np.abs(got - expected).max() <= 1e-6 * np.abs(expected).max()
 
 
+def _full_row_push_through(jac, mesh, lam):
+    """The nodal matrix from one Jacobian row per measurement, by the
+    push-through identity in one piece: W = S^-1 U, R = avg W (I + U'W)^-1,
+    with U = (J V^-1 / scale)' and the volume division folded into W."""
+    jfull = jac.matrix[jac.row_index]
+    vols = mesh.volumes
+    scale = np.linalg.norm(jfull / vols) / math.sqrt(jfull.shape[0])
+    unscale = vols * scale
+    w = splu((lam ** 2 * smoothness_prior(mesh)).tocsc()).solve(
+        (jfull / unscale).T) / unscale[:, None]
+    g = np.eye(jfull.shape[0]) + jfull @ w
+    return np.linalg.solve(g, (mesh.averaging_map @ w).T).T
+
+
+def _assert_matches_the_full_row_push_through(jac, mesh, rmat):
+    expect = _full_row_push_through(jac, mesh, rmat.config.lam)
+    assert rmat.matrix.shape == expect.shape == (mesh.n_nodes,
+                                                 jac.row_index.size)
+    assert np.abs(rmat.matrix - expect).max() <= 1e-5 * np.abs(expect).max()
+
+
+def test_matrix_matches_the_full_row_push_through(tiny_jacobian, tiny_mesh,
+                                                  tiny_rmat):
+    _assert_matches_the_full_row_push_through(tiny_jacobian, tiny_mesh,
+                                              tiny_rmat)
+
+
+def test_unpaired_rows_match_the_full_row_push_through(lopsided_jacobian,
+                                                       tiny_mesh):
+    rmat = build_reconstruction_matrix(lopsided_jacobian, tiny_mesh,
+                                       GnConfig())
+    _assert_matches_the_full_row_push_through(lopsided_jacobian, tiny_mesh,
+                                              rmat)
+
+
+def test_build_solves_once_per_distinct_row(tiny_jacobian, tiny_mesh,
+                                            monkeypatch):
+    columns = []
+
+    class CountingFactor:
+        def __init__(self, factor):
+            self.factor = factor
+
+        def solve(self, rhs):
+            columns.append(rhs.shape[1])
+            return self.factor.solve(rhs)
+
+    factor_spd = gn._factor_spd
+    monkeypatch.setattr(gn, "_factor_spd",
+                        lambda m, err: CountingFactor(factor_spd(m, err)))
+    build_reconstruction_matrix(tiny_jacobian, tiny_mesh, GnConfig())
+    assert sum(columns) == 464
+
+
 def test_build_memory_stays_near_the_jacobian(tiny_jacobian, tiny_mesh):
     # the build must not hold whole element-by-measurement copies of the
-    # Jacobian; caches of the mesh are warmed so only the build is counted
+    # Jacobian; caches of the mesh are warmed so only the build is counted.
+    # The bound is against one row per measurement (46 MB on the tiny mesh)
+    full = tiny_jacobian.row_index.size * tiny_jacobian.matrix[0].nbytes
     smoothness_prior(tiny_mesh)
     tracemalloc.start()
     try:
@@ -70,7 +129,7 @@ def test_build_memory_stays_near_the_jacobian(tiny_jacobian, tiny_mesh):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * tiny_jacobian.matrix.nbytes
+    assert peak < 0.75 * full
 
 
 def test_rebuild_bit_identical(tiny_jacobian, tiny_mesh, tiny_rmat):

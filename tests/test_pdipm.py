@@ -1,13 +1,19 @@
+import math
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from eitprobe.datagen import NoiseModel, add_noise
 from eitprobe.errors import DimensionError, IllConditionedError, ProvenanceError
-from eitprobe.pdipm import PdipmConfig, build_tv_operator, reconstruct_pdipm_batch
+from eitprobe.forward import (StimPattern, VoltageFrame, assemble_system,
+                              homogeneous_field, solve_forward)
+from eitprobe.pdipm import (PdipmConfig, _cg, build_tv_operator,
+                            reconstruct_pdipm_batch)
 
 BALL_CENTER = np.array([1.6, 0.0, 0.0])
+SIGMA_REF = 0.15
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +25,8 @@ def tv(tiny_mesh):
 def ball_dv(tiny_mesh, tiny_jacobian):
     inside = np.linalg.norm(tiny_mesh.centroids - BALL_CENTER, axis=1) < 0.8
     assert inside.sum() > 10
-    return tiny_jacobian.matrix @ (0.15 * inside.astype(float))
+    jfull = tiny_jacobian.matrix[tiny_jacobian.row_index]
+    return jfull @ (0.15 * inside.astype(float))
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +81,7 @@ def test_plane_cut_matches_area_oracle(tiny_mesh, tv):
 
 
 def test_zero_dv_returns_zero_image(tiny_jacobian, tv):
-    dv = np.zeros(tiny_jacobian.matrix.shape[0])
+    dv = np.zeros(tiny_jacobian.row_index.size)
     images, traces = reconstruct_pdipm_batch(tiny_jacobian, tv, dv,
                                              PdipmConfig(alpha=1e-3))
     assert np.all(images == 0.0)
@@ -88,6 +95,94 @@ def test_objective_monotone_and_dual_feasible(solved):
     assert np.all(np.diff(obj) <= 1e-12 * np.abs(obj[:-1]))
     assert max(trace.dual_max) <= 1.0 + 1e-12
     assert all(0 < s <= 1 for s in trace.step_len)
+
+
+def test_trace_counts_cg_iterations_and_shrinks(solved):
+    _x, trace = solved
+    assert len(trace.cg_iters) == len(trace.shrinks) == trace.n_iters
+    assert all(1 <= n <= 30 for n in trace.cg_iters)
+    assert all(0 <= n <= 30 for n in trace.shrinks)
+    # each shrink halves the step
+    assert trace.step_len == [0.5 ** n for n in trace.shrinks]
+
+
+def _full_row_loop(jfull, lop, dv, cfg):
+    """Objectives and stop reason of the interior-point loop run on one
+    Jacobian row per measurement, as it ran before twin rows were shared."""
+    scale = np.linalg.norm(jfull) / math.sqrt(jfull.shape[0])
+    data, alpha = dv / scale, cfg.alpha
+    back = (jfull.T @ data) / scale
+    fit = (jfull @ back) / scale
+    c = (data @ fit) / (fit @ fit)
+    beta = float(np.clip(1e-4 * np.abs(back * c).max(), 1e-12, 1e-2))
+
+    def objective(r, lx):
+        return 0.5 * (r @ r) + alpha * np.sqrt(lx * lx + beta * beta).sum()
+
+    x, y = np.zeros(lop.shape[1]), np.zeros(lop.shape[0])
+    resid, objectives = -data, []
+    for _ in range(cfg.max_iters):
+        t = lop @ x
+        phi = np.sqrt(t * t + beta * beta)
+        f_cur = objective(resid, t)
+        grad = (jfull.T @ resid) / scale + alpha * (lop.T @ (t / phi))
+        dual_w = (1.0 - y * t / phi) / phi
+        dx, _ = _cg(lambda v: (jfull.T @ (jfull @ v)) / scale ** 2
+                    + alpha * (lop.T @ (dual_w * (lop @ v))), -grad)
+        q, ld = (jfull @ dx) / scale, lop @ dx
+        s = 1.0
+        gdot = grad @ dx
+        while objective(resid + s * q, t + s * ld) > f_cur + 1e-4 * s * gdot:
+            s *= 0.5
+            if s < 0.5 ** 30:
+                return objectives, "line_search"
+        x += s * dx
+        resid = resid + s * q
+        dy = (t / phi - y) + (1.0 - y * t / phi) * (s * ld) / phi
+        nz = dy != 0
+        step = ((np.sign(dy[nz]) - y[nz]) / dy[nz]).min(initial=1.0)
+        y = np.clip(y + step * dy, -1.0, 1.0)
+        objectives.append(float(objective(resid, t + s * ld)))
+        if (f_cur - objectives[-1]) / abs(objectives[-1]) <= cfg.tol:
+            return objectives, "tol"
+    return objectives, "max_iters"
+
+
+def _frames(mesh, jac, schedule):
+    """Difference frames with the stop each should reach: two weak far
+    targets under the data model's noise, on which the solve stops at tol
+    within a few steps, and the noise-free ball, whose first four steps
+    already lean on the data term of the Newton operator."""
+    system = assemble_system(mesh, homogeneous_field(mesh, SIGMA_REF))
+    v_ref = solve_forward(system, StimPattern(), schedule).values
+    jfull = jac.matrix[jac.row_index]
+    frames = []
+    for seed, center in ((0, [4.0, 0.0, 0.0]), (1, [3.0, 0.0, 0.0])):
+        inside = np.linalg.norm(mesh.centroids - center, axis=1) < 0.8
+        clean = VoltageFrame(v_ref + jfull @ (0.15 * inside),
+                             schedule.schedule_id)
+        noisy = add_noise(clean, schedule, NoiseModel(),
+                          np.random.default_rng(seed))
+        frames.append((noisy.values - v_ref, PdipmConfig(max_iters=25), "tol"))
+    ball = np.linalg.norm(mesh.centroids - BALL_CENTER, axis=1) < 0.8
+    frames.append((jfull @ (0.15 * ball), PdipmConfig(max_iters=4),
+                   "max_iters"))
+    return jfull, frames
+
+
+@pytest.mark.parametrize("fixtures", [("tiny_schedule", "tiny_jacobian"),
+                                      ("lopsided_schedule", "lopsided_jacobian")],
+                         ids=["adjacent", "lopsided"])
+def test_steps_match_the_full_row_loop(fixtures, tiny_mesh, tv, request):
+    schedule, jac = (request.getfixturevalue(name) for name in fixtures)
+    jfull, frames = _frames(tiny_mesh, jac, schedule)
+    for dv, cfg, stop in frames:
+        _x, traces = reconstruct_pdipm_batch(jac, tv, dv, cfg)
+        objectives, reason = _full_row_loop(jfull, tv.matrix, dv, cfg)
+        assert traces[0].stopped_reason == reason == stop
+        assert traces[0].n_iters == len(objectives)
+        got = np.array(traces[0].objective)
+        assert np.all(np.abs(got - objectives) <= 1e-10 * np.abs(objectives))
 
 
 def test_image_peaks_at_the_target(tiny_mesh, solved):
@@ -108,7 +203,8 @@ def test_large_alpha_flattens_image(tiny_jacobian, tv, ball_dv):
 
 def test_batch_agrees_with_single_runs(tiny_mesh, tiny_jacobian, tv, ball_dv):
     second = np.linalg.norm(tiny_mesh.centroids - [0.0, -1.8, 0.5], axis=1) < 0.8
-    dv2 = tiny_jacobian.matrix @ (0.15 * second.astype(float))
+    jfull = tiny_jacobian.matrix[tiny_jacobian.row_index]
+    dv2 = jfull @ (0.15 * second.astype(float))
     batch = np.column_stack([ball_dv, dv2])
     cfg = PdipmConfig(alpha=1e-3, max_iters=45)
     xb, tb = reconstruct_pdipm_batch(tiny_jacobian, tv, batch, cfg)
@@ -126,7 +222,9 @@ def test_batch_rerun_bit_identical(tiny_jacobian, tv, ball_dv):
 
 
 def test_solve_memory_stays_below_the_jacobian(tiny_jacobian, tv, ball_dv):
-    # the solve must not hold a scaled copy of the Jacobian
+    # the solve must not hold a scaled or expanded copy of the Jacobian,
+    # whose rows per measurement take 46 MB on the tiny mesh
+    full = tiny_jacobian.row_index.size * tiny_jacobian.matrix[0].nbytes
     tracemalloc.start()
     try:
         reconstruct_pdipm_batch(tiny_jacobian, tv, ball_dv,
@@ -134,7 +232,7 @@ def test_solve_memory_stays_below_the_jacobian(tiny_jacobian, tv, ball_dv):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 0.5 * tiny_jacobian.matrix.nbytes
+    assert peak < 0.1 * full
 
 
 def test_mesh_provenance_enforced(tiny_mesh_alt, tiny_jacobian, ball_dv):
