@@ -314,6 +314,11 @@ class Jacobian:
         return np.bincount(self.row_index, minlength=self.matrix.shape[0])
 
 
+def _fold_twins(row_index: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per-measurement values summed onto their distinct Jacobian rows."""
+    return np.bincount(row_index, weights=values)
+
+
 def _reciprocal_rows(schedule: MeasurementSchedule,
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Distinct sensitivity rows of a schedule, each the unordered pair

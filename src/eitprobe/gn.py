@@ -1,7 +1,7 @@
 """One-step Gauss-Newton difference imaging through a precomputed matrix.
 
 Building the reconstruction matrix R is the expensive phase; applying it to
-a voltage difference is a single matrix-vector product that yields the
+a folded voltage difference is one matrix-vector product that yields the
 nodal conductivity change directly, because the volume-weighted averaging
 from elements to nodes is folded into R. The Jacobian columns are scaled by
 element volume to undo the grading bias of the mesh, the normal equations
@@ -10,17 +10,21 @@ identity
 
     (U U' + S)^-1 U = S^-1 U (I + U' S^-1 U)^-1
 
-so only the sparse prior S and a dense measurement-by-measurement block are
+so only the sparse prior S and a dense block over the measurements are
 ever factorized; an element-by-element dense matrix is never formed. Both
 are SPD: the dense block is Cholesky-factorized, and S is factorized by
 SuperLU in symmetric mode with diagonal pivoting.
 
-Reciprocal measurements share one Jacobian row (see ``forward.Jacobian``),
-so the columns of U repeat: S^-1 U and U' S^-1 U are formed on the distinct
-rows and expanded by the Jacobian's ``row_index``. The build makes one
-sparse solve per distinct row, 464 for the adjacent schedule's 928
-measurements. The right-hand sides are streamed in blocks, so no
-element-by-row array beyond one block is held besides the Jacobian.
+Reciprocal twins share a Jacobian row (see ``forward.Jacobian``): U = Ud P'
+with P the measurement-to-row expansion and P'P = C = diag(counts), so
+
+    (U U' + S)^-1 U = S^-1 Ud C^1/2 (I + C^1/2 Ud' S^-1 Ud C^1/2)^-1 C^-1/2 P'
+
+where P' folds the measurements, summing twins onto their row. So R and
+the dense block are sized by the distinct rows, 464 for the adjacent
+schedule's 928 measurements, each one sparse solve; the solves are streamed
+in blocks, so no element-by-row array beyond one block is held besides the
+Jacobian.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse import identity as speye
 
 from .errors import DimensionError, IllConditionedError, ProvenanceError
-from .forward import Jacobian, VoltageFrame, _factor_spd
+from .forward import Jacobian, VoltageFrame, _factor_spd, _fold_twins
 from .ioutil import hash_of
 from .mesh import Mesh
 from .pdipm import build_tv_operator
@@ -66,11 +70,12 @@ class GnConfig:
 
 @dataclass(eq=False)
 class ReconstructionMatrix:
-    """Dense nodes-by-measurements map from a 928-long voltage difference
-    to the nodal conductivity change, tied to the mesh and schedule it was
-    built for."""
+    """Dense nodes-by-distinct-rows map from a voltage difference, folded
+    onto the Jacobian's distinct rows by ``row_index``, to the nodal
+    conductivity change, tied to the mesh and schedule it was built for."""
 
     matrix: np.ndarray
+    row_index: np.ndarray
     mesh_id: str
     schedule_id: str
     config: GnConfig
@@ -97,24 +102,16 @@ def build_reconstruction_matrix(jac: Jacobian, mesh: Mesh,
     return _build(jac, mesh, cfg, mesh.averaging_map)
 
 
-def _element_reconstruction_matrix(jac: Jacobian, mesh: Mesh,
-                                   cfg: GnConfig) -> ReconstructionMatrix:
-    """The same solve without the averaging: elements by measurements.
-    Only the tests use it, to check the normal equations per element."""
-    return _build(jac, mesh, cfg, speye(mesh.n_elements, format="csr"))
-
-
 def _build(jac: Jacobian, mesh: Mesh, cfg: GnConfig,
            avg: csr_matrix) -> ReconstructionMatrix:
-    """R = avg V^-1 W (I + U' W)^-1 / scale with U = (J V^-1 / scale)' and
-    W = S^-1 U, V = diag(volumes). Twin measurements share a Jacobian row,
-    so U and W are formed on the distinct rows only, one column block at a
-    time, and expanded to the measurements by ``row_index``."""
+    """R = avg V^-1 W C^1/2 (I + C^1/2 U' W C^1/2)^-1 C^-1/2 / scale on the
+    distinct rows, with U = (J V^-1 / scale)', W = S^-1 U, V = diag(volumes)
+    and C = diag(counts). U and W are formed one column block at a time."""
     cfg.validate()
     if jac.mesh_id != mesh.mesh_id:
         raise ProvenanceError("Jacobian was computed on a different mesh")
-    jmat, index = jac.matrix, jac.row_index
-    n_rows, n_meas = jmat.shape[0], index.size
+    jmat = jac.matrix
+    n_rows, n_meas = jmat.shape[0], jac.row_index.size
     vols = mesh.volumes
     # sensitivity entries grow with element volume; dividing the columns by
     # volume puts coarse far elements and fine near elements on one scale
@@ -135,23 +132,24 @@ def _build(jac: Jacobian, mesh: Mesh, cfg: GnConfig,
         w /= unscale[:, None]
         k[:, b] = jmat @ w
         z[:, b] = avg @ w
-    k = 0.5 * (k + k.T)
-    g = k[np.ix_(index, index)]
-    g.flat[::n_meas + 1] += 1.0
+    root = np.sqrt(jac.counts)
+    # halving is exact and r_i r_j = r_j r_i, so g is exactly symmetric
+    g = (k + k.T) * np.outer(0.5 * root, root)
+    g.flat[::n_rows + 1] += 1.0
     try:
-        # g is exactly symmetric, so g.T is g in the Fortran order LAPACK
-        # wants, and the factorization overwrites it in place
+        # g.T is g, Fortran-ordered: the factorization overwrites it in place
         cho = cho_factor(g.T, lower=True, overwrite_a=True)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(
             f"regularized normal matrix is not positive definite: {exc}") from exc
-    # take keeps z C-ordered, so z.T is Fortran-ordered and the solve
-    # overwrites it in place
-    z = np.take(z, index, axis=1)
+    # z.T is Fortran-ordered, so the solve overwrites it in place
+    z *= root
     r = cho_solve(cho, z.T, overwrite_b=True).T
+    r /= root
     if not np.all(np.isfinite(r)):
         raise IllConditionedError("reconstruction matrix has non-finite entries")
-    return ReconstructionMatrix(matrix=r, mesh_id=jac.mesh_id,
+    return ReconstructionMatrix(matrix=r, row_index=jac.row_index,
+                                mesh_id=jac.mesh_id,
                                 schedule_id=jac.schedule_id, config=cfg)
 
 
@@ -174,6 +172,6 @@ def reconstruct_gn(rmat: ReconstructionMatrix, dv, mesh: Mesh) -> np.ndarray:
         values = dv.values
     else:
         values = np.asarray(dv, dtype=np.float64)
-    if values.shape != (rmat.matrix.shape[1],):
+    if values.shape != rmat.row_index.shape:
         raise DimensionError("voltage difference length does not match the matrix")
-    return rmat.matrix @ values
+    return rmat.matrix @ _fold_twins(rmat.row_index, values)

@@ -15,12 +15,12 @@ dividing its products, so no scaled copy of it is held.
 
 J is held as its distinct reciprocal rows Jd, with J = Jd[row_index] (see
 ``forward.Jacobian``). A product J v is Jd v expanded by ``row_index``;
-J' r is Jd' applied to r folded onto the distinct rows, that is summed over
-twins; and the CG operator is Jd' (c * Jd v) / scale^2 + alpha L'DL v, with
-c the number of measurements per row. So every dense product runs over the
-464 distinct rows, not the 928 measurements. The residual, the objective
-and the data keep one entry per measurement, because twin measurements
-carry different noise.
+J' r is Jd' applied to r summed over twins (``forward._fold_twins``, the
+fold GN also applies); and the CG operator is Jd' (c * Jd v) / scale^2 +
+alpha L'DL v, with c the number of measurements per row. So every dense
+product runs over the 464 distinct rows, not the 928 measurements. The
+residual, the objective and the data keep one entry per measurement,
+because twin measurements carry different noise.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 
 from .errors import (DimensionError, IllConditionedError, LineSearchError,
                      ProvenanceError)
-from .forward import Jacobian
+from .forward import Jacobian, _fold_twins
 from .mesh import Mesh
 
 DEFAULT_ALPHA = 0.03
@@ -92,13 +92,14 @@ def build_tv_operator(mesh: Mesh) -> TvOperator:
 @dataclass(eq=False)
 class ConvergenceTrace:
     """Per accepted Newton step: the objective, the step length, the dual
-    bound, the conjugate-gradient iterations of the Newton solve and the
-    line-search shrinks before the step was accepted."""
+    bound, the CG iterations of the Newton solve and their final relative
+    residual, and the line-search shrinks before the step was accepted."""
 
     objective: list = field(default_factory=list)
     step_len: list = field(default_factory=list)
     dual_max: list = field(default_factory=list)
     cg_iters: list = field(default_factory=list)
+    cg_resid: list = field(default_factory=list)
     shrinks: list = field(default_factory=list)
     stopped_reason: str = "max_iters"
 
@@ -107,27 +108,27 @@ class ConvergenceTrace:
         return len(self.objective)
 
 
-def _cg(apply_op, rhs: np.ndarray) -> tuple[np.ndarray, int]:
+def _cg(apply_op, rhs: np.ndarray) -> tuple[np.ndarray, tuple[int, float]]:
     """CG from zero on an SPD operator, stopped early or at a non-positive
     curvature, so the result is always a descent direction for rhs. Also
-    returns the number of iterations, each one operator product."""
+    returns its operator products and its recurrence's final |r| / |rhs|."""
     x, r, p = np.zeros_like(rhs), rhs.copy(), rhs.copy()
-    rs = r @ r
+    rs = rs0 = r @ r
     tol2 = (_CG_RTOL ** 2) * rs
-    for n in range(_CG_ITERS):
-        if rs <= tol2:
-            return x, n
+    n = 0
+    while n < _CG_ITERS and rs > tol2:
         q = apply_op(p)
+        n += 1
         pq = p @ q
         if pq <= 0:
-            return x, n + 1
+            break
         a = rs / pq
         x += a * p
         r -= a * q
         rs_new = r @ r
         p = r + (rs_new / rs) * p
         rs = rs_new
-    return x, _CG_ITERS
+    return x, (n, math.sqrt(rs / rs0) if rs0 > 0 else 0.0)
 
 
 def _solve(jac: Jacobian, scale: float, lop: csr_matrix, data: np.ndarray,
@@ -140,11 +141,7 @@ def _solve(jac: Jacobian, scale: float, lop: csr_matrix, data: np.ndarray,
     alpha = cfg.alpha
     scale2 = scale * scale
 
-    def fold(v):
-        # J' v = jmat' fold(v): sum each measurement onto its distinct row
-        return np.bincount(index, weights=v, minlength=jmat.shape[0])
-
-    back = (jmat.T @ fold(data)) / scale
+    back = (jmat.T @ _fold_twins(index, data)) / scale
     fit = (jmat @ back)[index] / scale
     den = fit @ fit
     c = (data @ fit) / den if den > 0 else 0.0
@@ -161,14 +158,15 @@ def _solve(jac: Jacobian, scale: float, lop: csr_matrix, data: np.ndarray,
         t = lop @ x
         phi = np.sqrt(t * t + beta * beta)
         f_cur = objective(resid, t)
-        grad = (jmat.T @ fold(resid)) / scale + alpha * (lop.T @ (t / phi))
+        grad = ((jmat.T @ _fold_twins(index, resid)) / scale
+                + alpha * (lop.T @ (t / phi)))
         dual_w = (1.0 - y * t / phi) / phi
 
         def apply_op(v):
             return ((jmat.T @ (counts * (jmat @ v))) / scale2
                     + alpha * (lop.T @ (dual_w * (lop @ v))))
 
-        dx, cg_iters = _cg(apply_op, -grad)
+        dx, (cg_iters, cg_resid) = _cg(apply_op, -grad)
         q, ld, gdot = (jmat @ dx)[index] / scale, lop @ dx, grad @ dx
 
         s = 1.0
@@ -198,6 +196,7 @@ def _solve(jac: Jacobian, scale: float, lop: csr_matrix, data: np.ndarray,
         trace.step_len.append(float(s))
         trace.dual_max.append(float(np.abs(y).max()))
         trace.cg_iters.append(cg_iters)
+        trace.cg_resid.append(cg_resid)
         trace.shrinks.append(shrinks)
         if (f_cur - f_new) / max(abs(f_new), 1e-300) <= cfg.tol:
             trace.stopped_reason = "tol"

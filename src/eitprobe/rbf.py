@@ -85,10 +85,9 @@ class RbfModel:
 
 @dataclass(eq=False)
 class TrainTrace:
-    """Per-round spread and errors; MSE values are in output units."""
+    """Per-round spread and validation MSE, in output units."""
 
     spreads: list = field(default_factory=list)
-    train_mse: list = field(default_factory=list)
     val_mse: list = field(default_factory=list)
     selected_round: int = 0
 
@@ -222,11 +221,9 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
         spread = base * mult
         h_tr = _design(xn_tr, centers, spread)
         weights, bias = _solve_output_layer(h_tr, tn_tr, cfg.ridge)
-        mse_tr = float(np.mean((h_tr @ weights + bias - tn_tr) ** 2)) * span ** 2
         h_val = _design(xn_val, centers, spread)
         mse_val = float(np.mean((h_val @ weights + bias - tn_val) ** 2)) * span ** 2
         trace.spreads.append(spread)
-        trace.train_mse.append(mse_tr)
         trace.val_mse.append(mse_val)
         if mse_val < best_val:
             best_val = mse_val

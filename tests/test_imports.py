@@ -1,4 +1,5 @@
-"""Guard against module-level imports that the importing module never uses.
+"""Guard against module-level imports that the importing module never uses,
+and against private package names that nothing in the package uses.
 
 No linter ships with the project, so this walks the syntax tree of every
 Python file in the package, the tests and the benchmark with the standard
@@ -6,6 +7,7 @@ library's ``ast``.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for d in ("src/eitprobe", "tests", "bench")
                for p in (ROOT / d).glob("*.py"))
+PACKAGE = sorted((ROOT / "src/eitprobe").glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -41,3 +44,43 @@ def test_no_unused_module_imports(path):
               for name, line in _imported_names(tree).items()
               if name not in used]
     assert not unused, f"{path.relative_to(ROOT)} never uses: {unused}"
+
+
+def _private_definitions(tree: ast.Module):
+    """Each module-level ``_``-prefixed function, class or constant, with
+    the statement that defines it."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _references(node: ast.AST) -> Counter:
+    """Names read, attributes taken and names imported within ``node``."""
+    refs = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            refs[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            refs[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            refs[n.name] += 1
+    return refs
+
+
+def test_every_private_package_name_is_used_in_the_package():
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE}
+    everywhere = sum((_references(t) for t in trees.values()), Counter())
+    unused = [f"{path.relative_to(ROOT)}: {name} (line {node.lineno})"
+              for path, tree in trees.items()
+              for name, node in _private_definitions(tree)
+              if everywhere[name] == _references(node)[name]]
+    assert not unused, f"only their definitions use: {unused}"

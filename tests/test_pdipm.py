@@ -106,6 +106,28 @@ def test_trace_counts_cg_iterations_and_shrinks(solved):
     assert trace.step_len == [0.5 ** n for n in trace.shrinks]
 
 
+def test_trace_records_the_true_cg_residual(tiny_jacobian, tv, ball_dv,
+                                            solved, monkeypatch):
+    # the recorded residual comes from the CG recurrence; recompute it from
+    # the operator each Newton step handed to CG and the direction it got
+    true_resid = []
+
+    def recording_cg(apply_op, rhs):
+        dx, info = _cg(apply_op, rhs)
+        true_resid.append(np.linalg.norm(rhs - apply_op(dx))
+                          / np.linalg.norm(rhs))
+        return dx, info
+
+    monkeypatch.setattr("eitprobe.pdipm._cg", recording_cg)
+    _x, traces = reconstruct_pdipm_batch(tiny_jacobian, tv, ball_dv,
+                                         PdipmConfig(alpha=1e-3, max_iters=25))
+    trace = traces[0]
+    assert trace.objective == solved[1].objective
+    assert len(trace.cg_resid) == len(true_resid) == trace.n_iters
+    got, want = np.array(trace.cg_resid), np.array(true_resid)
+    assert np.all(np.abs(got - want) <= 1e-10 * want)
+
+
 def _full_row_loop(jfull, lop, dv, cfg):
     """Objectives and stop reason of the interior-point loop run on one
     Jacobian row per measurement, as it ran before twin rows were shared."""

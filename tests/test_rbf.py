@@ -2,6 +2,7 @@
 sweep and the error surface."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -92,12 +93,15 @@ class TestCenterSelection:
 
 
 class TestTraining:
-    def test_memorization(self, memo_data, memo_cfg, memo_model):
-        _, targets = memo_data
+    def test_memorization(self, memo_data, memo_cfg, memo_model, tiny_mesh):
+        inputs, targets = memo_data
         model, trace = memo_model
         assert trace.n_rounds == 1
         assert model.spread == 2.0
-        assert trace.train_mse[0] < 1e-6 * np.var(targets)
+        _, train_idx = _split_indices(inputs.shape[0], memo_cfg)
+        pred = predict(model, inputs[train_idx], tiny_mesh)
+        mse = np.mean((pred - targets[train_idx]) ** 2)
+        assert mse < 1e-6 * np.var(targets)
 
     def test_training_sample_reproduced(self, memo_data, memo_cfg,
                                         memo_model, tiny_mesh):
@@ -173,10 +177,13 @@ class TestTraining:
         inputs = rng.normal(size=(30, 4))
         targets = np.zeros((30, 4))
         cfg = TrainConfig(hidden_count=10, seed=0, max_rounds=2)
-        model, trace = train(inputs, targets, cfg, "postproc", "m", "s")
+        model, _ = train(inputs, targets, cfg, "postproc", "m", "s")
         assert np.all(model.output_weights == 0.0)
         assert np.all(model.output_bias == 0.0)
-        assert trace.train_mse[0] == 0.0
+        _, train_idx = _split_indices(30, cfg)
+        # predict reads only the mesh's id and node count
+        mesh = SimpleNamespace(mesh_id="m", n_nodes=4)
+        assert np.all(predict(model, inputs[train_idx], mesh) == 0.0)
 
     def test_rank_deficient_gram(self):
         # hidden + bias columns outnumber the training rows, and a spread
