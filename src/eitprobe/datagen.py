@@ -33,11 +33,11 @@ from scipy.spatial.transform import Rotation
 
 from .errors import DimensionError, EitProbeError, ProvenanceError
 from .forward import (MeasurementSchedule, StimPattern, VoltageFrame,
-                      assemble_system, solve_forward, write_frame_csv,
-                      read_frame_csv)
+                      assemble_system, homogeneous_field, solve_forward,
+                      write_frame_csv, read_frame_csv)
 from .gn import ReconstructionMatrix, element_to_nodal, reconstruct_gn
 from .ioutil import canonical_json_bytes, read_f64, write_f64
-from .mesh import Mesh, TankGeometry, elements_in_ellipsoid
+from .mesh import Mesh, TankGeometry
 
 DEFAULT_SEMI_AXES = (4.0, 6.0, 9.0)
 DEFAULT_SIGMA_IN = 0.3
@@ -69,6 +69,17 @@ class TargetSpec:
 
     def rotation_matrix(self) -> np.ndarray:
         return Rotation.from_quat(self.quat).as_matrix()
+
+    def form(self, points) -> np.ndarray:
+        """The ellipsoid's quadratic form over the last axis of ``points``:
+        at most 1 inside the ellipsoid, at most 4 inside the concentric one
+        of doubled semi-axes. Rasterization and the voxel metrics both
+        decide inside from it."""
+        body = ((np.asarray(points, dtype=np.float64)
+                 - np.asarray(self.center, dtype=np.float64))
+                @ self.rotation_matrix())
+        return np.sum((body / np.asarray(self.semi_axes, dtype=np.float64)) ** 2,
+                      axis=-1)
 
     def to_dict(self) -> dict:
         return {
@@ -302,7 +313,7 @@ def rasterize_target(mesh: Mesh, target: TargetSpec) -> np.ndarray:
     """Per-element conductivity: sigma_in inside the ellipsoid, else bg."""
     target.validate()
     sigma = np.full(mesh.n_elements, target.sigma_bg)
-    sigma[elements_in_ellipsoid(mesh, target)] = target.sigma_in
+    sigma[target.form(mesh.centroids) <= 1.0] = target.sigma_in
     return sigma
 
 
@@ -341,10 +352,14 @@ def pair_separations(schedule: MeasurementSchedule) -> np.ndarray:
     """Separation between drive and measuring pair midpoints per retained
     measurement: azimuth arc at the probe surface combined with the ring
     offset, both in probe radii for the reference probe."""
-    mid, layer = schedule.pair_midpoints
-    drive = np.repeat(np.arange(schedule.n_injections), schedule.n_retained)
-    meas = np.concatenate([schedule.retained[d]
-                           for d in range(schedule.n_injections)])
+    az, pairs = schedule.electrode_azimuth, schedule.pairs
+    a0, a1 = az[pairs[:, 0]], az[pairs[:, 1]]
+    # midpoint on the circle; adjacent electrodes are always less than
+    # half a turn apart so the shorter arc is unambiguous
+    diff = np.angle(np.exp(1j * (a1 - a0)))
+    mid = np.angle(np.exp(1j * (a0 + diff / 2.0)))
+    layer = schedule.electrode_layer[pairs[:, 0]].astype(float)
+    drive, meas = schedule.pair_index
     dphi = np.abs(np.angle(np.exp(1j * (mid[meas] - mid[drive]))))
     dz = np.abs(layer[meas] - layer[drive])
     return np.hypot(dphi, dz)
@@ -397,7 +412,7 @@ class Sample:
 def reference_frame(mesh: Mesh, schedule: MeasurementSchedule,
                     pattern: StimPattern, sigma_bg: float) -> VoltageFrame:
     """Forward solve of the homogeneous background."""
-    system = assemble_system(mesh, np.full(mesh.n_elements, sigma_bg))
+    system = assemble_system(mesh, homogeneous_field(mesh, sigma_bg))
     return solve_forward(system, pattern, schedule)
 
 

@@ -88,34 +88,24 @@ class MeasurementSchedule:
         })
 
     @cached_property
+    def pair_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(drive, measured): the drive and the measured pair id of every
+        measurement, injection-major with the retained pairs in order. This
+        is the one place the measurement order is decided."""
+        drive = np.repeat(np.arange(self.n_injections), self.n_retained)
+        return drive, self.retained.ravel()
+
+    @cached_property
     def rows(self) -> np.ndarray:
         """(n_measurements, 3) int: injection, meas_plus, meas_minus."""
-        out = np.empty((self.n_measurements, 3), dtype=np.int64)
-        k = 0
-        for d in range(self.n_injections):
-            for p in self.retained[d]:
-                out[k] = (d, self.pairs[p, 0], self.pairs[p, 1])
-                k += 1
-        return out
+        drive, meas = self.pair_index
+        return np.column_stack([drive, self.pairs[meas]])
 
     @cached_property
     def _csv_prefixes(self) -> list[str]:
         """The ``injection,meas_plus,meas_minus,`` start of each row of a
         frame CSV file."""
         return [f"{d},{p},{m}," for d, p, m in self.rows.tolist()]
-
-    @cached_property
-    def pair_midpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-pair (azimuth midpoint, layer) used by the noise model."""
-        az = self.electrode_azimuth
-        a0 = az[self.pairs[:, 0]]
-        a1 = az[self.pairs[:, 1]]
-        # midpoint on the circle; adjacent electrodes are always less than
-        # half a turn apart so the shorter arc is unambiguous
-        diff = np.angle(np.exp(1j * (a1 - a0)))
-        mid = np.angle(np.exp(1j * (a0 + diff / 2.0)))
-        layer = self.electrode_layer[self.pairs[:, 0]].astype(float)
-        return mid, layer
 
 
 def adjacent_schedule(geom: TankGeometry) -> MeasurementSchedule:
@@ -325,9 +315,8 @@ def _reciprocal_rows(schedule: MeasurementSchedule,
     {drive, measurement pair}, numbered in order of first use. Returns the
     schedule position of each row's first use and, per measurement, the
     number of its row."""
-    drive = np.repeat(np.arange(schedule.n_injections), schedule.n_retained)
-    meas = schedule.retained.ravel()
-    key = (np.minimum(drive, meas) * schedule.pairs.shape[0]
+    drive, meas = schedule.pair_index
+    key = (np.minimum(drive, meas) * schedule.n_injections
            + np.maximum(drive, meas))
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     order = np.argsort(first)
@@ -361,8 +350,7 @@ def compute_jacobian(mesh: Mesh, sigma: np.ndarray,
     first, row_index = _reciprocal_rows(schedule)
     # first uses are numbered in schedule order, so each injection's new
     # rows are one contiguous block of the output
-    drive = first // schedule.n_retained
-    meas = schedule.retained.ravel()[first]
+    drive, meas = (a[first] for a in schedule.pair_index)
     bounds = np.searchsorted(drive, np.arange(schedule.n_injections + 1))
     out = np.empty((first.size, mesh.n_elements))
     for d in range(schedule.n_injections):

@@ -42,7 +42,6 @@ from .errors import DimensionError, IllConditionedError, ProvenanceError
 from .forward import Jacobian, VoltageFrame, _factor_spd, _fold_twins
 from .ioutil import hash_of
 from .mesh import Mesh
-from .pdipm import build_tv_operator
 
 DEFAULT_LAMBDA = 0.03
 _PRIOR_RIDGE = 1e-8
@@ -86,11 +85,11 @@ class ReconstructionMatrix:
 
 
 def smoothness_prior(mesh: Mesh):
-    """Sparse SPD prior: the face-weighted graph Laplacian of the element
-    adjacency normalized to unit mean diagonal plus a small ridge that
-    removes the constant nullspace."""
+    """Sparse SPD prior: the face-weighted graph Laplacian L'L of the
+    element adjacency (L = ``mesh.face_difference``) normalized to unit mean
+    diagonal plus a small ridge that removes the constant nullspace."""
     n = mesh.n_elements
-    lop = build_tv_operator(mesh).matrix
+    lop = mesh.face_difference
     lap = (lop.T @ lop).tocsc()
     lap = lap * (n / lap.diagonal().sum())
     return (lap + _PRIOR_RIDGE * speye(n, format="csc")).tocsc()

@@ -11,6 +11,10 @@ along z through a graded level set, each prism is split into three
 tetrahedra with the minimum-vertex diagonal rule so shared quad faces agree
 between neighbours. The grid conforms exactly to the electrode patch
 rectangles, so each patch is a fixed set of whole boundary faces.
+
+A ``Mesh`` owns its geometry, faces included: face areas and the
+interior-face difference operator shared by the TV term and the GN prior.
+It takes no targets; ``TargetSpec.form`` decides what lies inside one.
 """
 
 from __future__ import annotations
@@ -214,6 +218,21 @@ class Mesh:
     def boundary_faces(self) -> np.ndarray:
         faces, _owners, counts = self._faces
         return faces[counts == 1]
+
+    @cached_property
+    def face_difference(self) -> csr_matrix:
+        """Interior-face difference operator, (n_interior_faces, n_elements):
+        per face +w on its first owner and -w on its second, with w the
+        shared-face area over the distance between the owners' centroids."""
+        faces, owners = self.interior_faces
+        dist = np.linalg.norm(
+            self.centroids[owners[:, 0]] - self.centroids[owners[:, 1]], axis=1)
+        w = _face_areas(self.nodes, faces) / dist
+        n_f = faces.shape[0]
+        rows = np.repeat(np.arange(n_f), 2)
+        data = np.column_stack([w, -w]).ravel()
+        return coo_matrix((data, (rows, owners.ravel())),
+                          shape=(n_f, self.n_elements)).tocsr()
 
 
 class CemPattern(NamedTuple):
@@ -578,20 +597,6 @@ def build_mesh(geom: TankGeometry, density: RefinementSpec) -> Mesh:
 
     return Mesh(geometry=geom, nodes=nodes, tets=tets,
                 electrodes=electrodes, outer_faces=outer)
-
-
-def elements_in_ellipsoid(mesh: Mesh, target) -> np.ndarray:
-    """Indices of elements whose centroid lies inside the target ellipsoid.
-
-    ``target`` provides ``center`` (3,), ``semi_axes`` (3,) and a
-    ``rotation_matrix()`` mapping body axes to world coordinates.
-    """
-    rot = np.asarray(target.rotation_matrix())
-    center = np.asarray(target.center, dtype=float)
-    axes = np.asarray(target.semi_axes, dtype=float)
-    q = (mesh.centroids - center) @ rot
-    inside = np.sum((q / axes) ** 2, axis=1) <= 1.0
-    return np.where(inside)[0]
 
 
 # --- identity ----------------------------------------------------------------

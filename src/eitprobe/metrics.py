@@ -10,11 +10,17 @@ volume fractions, in percent) and SD (fraction of the reconstruction
 lying outside the truth, in percent). The probe size comes from the
 mesh's geometry.
 
-The frozen ``GridSpec`` is the only grid geometry, and the key of the
-voxelizer cache. Whatever lives on a grid is a plain array of
+The frozen ``GridSpec`` is the only grid geometry: a cube centred on the
+middle of the probe. Whatever lives on a grid is a plain array of
 ``spec.shape``: float for a voxelized image, bool for a thresholded
 reconstruction or a rasterized ellipsoid. The scorers take such arrays
 together with their spec and raise ``DimensionError`` on a shape mismatch.
+The geometry comes from its owners: barycentric coordinates from
+``Mesh.shape_gradients``, the truth and the region of interest from
+``TargetSpec.form``.
+
+Voxelizers are cached per mesh object and grid; the cache holds the mesh
+weakly, so a voxelizer is freed with its mesh.
 
 All metric values reduce to integer voxel counts pushed through one
 arithmetic expression, so independently coded counting oracles must match
@@ -24,12 +30,13 @@ them exactly, and positive rescaling of the input image cannot move them.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ellipeinc, ellipkinc
 
-from .datagen import SampleBounds, target_probe_distance
+from .datagen import SampleBounds, TargetSpec, target_probe_distance
 from .errors import DimensionError, EmptyImageError
 from .mesh import Mesh
 
@@ -40,28 +47,25 @@ V_DOMAIN = 4.0 / 3.0 * math.pi * SampleBounds().max_distance ** 3
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform cubic voxel grid: ``dims`` voxels per axis spanning a cube
-    of half-width ``half_width`` around ``center``."""
+    of half-width ``half_width`` around the origin."""
 
     half_width: float = 14.0
     dims: int = 64
-    center: tuple = (0.0, 0.0, 0.0)
 
     def validate(self) -> None:
         if not self.half_width > 0:
             raise ValueError("half_width must be positive")
         if self.dims < 8:
             raise ValueError("grid needs at least 8 voxels per axis")
-        if len(self.center) != 3:
-            raise ValueError("center must be a 3-vector")
 
     @property
     def spacing(self) -> float:
         return 2.0 * self.half_width / self.dims
 
     @property
-    def origin(self) -> tuple:
-        h = self.spacing
-        return tuple(c - self.half_width + 0.5 * h for c in self.center)
+    def origin(self) -> float:
+        """Coordinate of the first voxel center, the same on every axis."""
+        return -self.half_width + 0.5 * self.spacing
 
     @property
     def shape(self) -> tuple:
@@ -69,7 +73,8 @@ class GridSpec:
 
     def axes(self) -> tuple:
         """Per-axis voxel center coordinates."""
-        return tuple(o + self.spacing * np.arange(self.dims) for o in self.origin)
+        centers = self.origin + self.spacing * np.arange(self.dims)
+        return (centers, centers, centers)
 
 
 DEFAULT_GRID = GridSpec()
@@ -100,8 +105,8 @@ class Voxelizer:
         nodes = mesh.nodes
         tets = mesh.tets
         v0 = nodes[tets[:, 0]]
-        edges = np.stack([nodes[tets[:, k]] - v0 for k in (1, 2, 3)], axis=2)
-        inv_t = np.linalg.inv(edges).transpose(0, 2, 1)
+        # lambda_k = (p - v0) . grad phi_k for k = 1..3
+        grads_t = mesh.shape_gradients[:, 1:, :].transpose(0, 2, 1)
 
         lo_idx = np.ceil((nodes[tets].min(axis=1) - origin) / h - 1e-12)
         hi_idx = np.floor((nodes[tets].max(axis=1) - origin) / h + 1e-12)
@@ -122,7 +127,7 @@ class Voxelizer:
             pts = np.column_stack([xs[flat // (ny * nz)],
                                    ys[(flat // nz) % ny],
                                    zs[flat % nz]])
-            lam = (pts - v0[e]) @ inv_t[e]
+            lam = (pts - v0[e]) @ grads_t[e]
             lam0 = 1.0 - lam.sum(axis=1)
             ok = (lam.min(axis=1) >= -1e-12) & (lam0 >= -1e-12)
             if not ok.any():
@@ -142,14 +147,15 @@ class Voxelizer:
         return np.where(self.inside, vals, 0.0).reshape(self.spec.shape)
 
 
-_VOXELIZERS: dict = {}
+# mesh -> {GridSpec: Voxelizer}; an entry goes when its mesh is freed
+_VOXELIZERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def get_voxelizer(mesh: Mesh, spec: GridSpec = DEFAULT_GRID) -> Voxelizer:
-    key = (mesh.mesh_id, spec)
-    if key not in _VOXELIZERS:
-        _VOXELIZERS[key] = Voxelizer(mesh, spec)
-    return _VOXELIZERS[key]
+    per_grid = _VOXELIZERS.setdefault(mesh, {})
+    if spec not in per_grid:
+        per_grid[spec] = Voxelizer(mesh, spec)
+    return per_grid[spec]
 
 
 def voxelize(mesh: Mesh, img: np.ndarray,
@@ -167,16 +173,6 @@ def threshold_quarter(values: np.ndarray) -> np.ndarray:
     if peak <= 0.0:
         raise EmptyImageError("image has no positive contrast")
     return values >= 0.25 * peak
-
-
-def ellipsoid_form(target, spec: GridSpec) -> np.ndarray:
-    """The target's quadratic form at every voxel center: at most 1 inside
-    the ellipsoid, at most 4 inside the concentric one of doubled axes."""
-    pts = (np.stack(np.meshgrid(*spec.axes(), indexing="ij"), axis=-1)
-           - np.asarray(target.center, dtype=np.float64))
-    body = pts @ target.rotation_matrix()
-    return np.sum((body / np.asarray(target.semi_axes, dtype=np.float64)) ** 2,
-                  axis=-1)
 
 
 def ellipsoid_surface_area(semi_axes) -> float:
@@ -241,7 +237,7 @@ class ErrorReport:
     worst_case: bool = False
 
 
-def full_report(mesh: Mesh, img: np.ndarray, target,
+def full_report(mesh: Mesh, img: np.ndarray, target: TargetSpec,
                 spec: GridSpec = DEFAULT_GRID, method: str = "",
                 case_id: str = "",
                 domain_volume: float = V_DOMAIN) -> ErrorReport:
@@ -254,7 +250,7 @@ def full_report(mesh: Mesh, img: np.ndarray, target,
     geom = mesh.geometry
     distance = target_probe_distance(target, geom)
     values = voxelize(mesh, img, spec)
-    q = ellipsoid_form(target, spec)
+    q = target.form(np.stack(np.meshgrid(*spec.axes(), indexing="ij"), axis=-1))
     truth, roi = q <= 1.0, q <= 4.0
     try:
         recon = threshold_quarter(values)

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 
 from .errors import (DimensionError, IllConditionedError, LineSearchError,
                      ProvenanceError)
@@ -65,38 +65,25 @@ class PdipmConfig:
 
 @dataclass(eq=False)
 class TvOperator:
-    """One row per interior face: +w on one owner element, -w on the other,
-    with w = shared-face area / centroid distance."""
+    """The face-difference operator L of the TV term, which the mesh owns
+    (``Mesh.face_difference``), tagged with the mesh it belongs to."""
 
     matrix: csr_matrix
     mesh_id: str
 
 
 def build_tv_operator(mesh: Mesh) -> TvOperator:
-    faces, owners = mesh.interior_faces
-    p = mesh.nodes[faces]
-    areas = 0.5 * np.linalg.norm(
-        np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
-    dist = np.linalg.norm(
-        mesh.centroids[owners[:, 0]] - mesh.centroids[owners[:, 1]], axis=1)
-    w = areas / dist
-    n_f = faces.shape[0]
-    rows = np.repeat(np.arange(n_f), 2)
-    cols = owners.ravel()
-    data = np.column_stack([w, -w]).ravel()
-    matrix = coo_matrix((data, (rows, cols)),
-                        shape=(n_f, mesh.n_elements)).tocsr()
-    return TvOperator(matrix=matrix, mesh_id=mesh.mesh_id)
+    return TvOperator(matrix=mesh.face_difference, mesh_id=mesh.mesh_id)
 
 
 @dataclass(eq=False)
 class ConvergenceTrace:
-    """Per accepted Newton step: the objective, the step length, the dual
-    bound, the CG iterations of the Newton solve and their final relative
-    residual, and the line-search shrinks before the step was accepted."""
+    """Per accepted Newton step: the objective, the dual bound, the CG
+    iterations of the Newton solve and their final relative residual, and
+    the line-search shrinks before the step was accepted; the step taken
+    was 0.5 ** shrinks of the Newton step."""
 
     objective: list = field(default_factory=list)
-    step_len: list = field(default_factory=list)
     dual_max: list = field(default_factory=list)
     cg_iters: list = field(default_factory=list)
     cg_resid: list = field(default_factory=list)
@@ -193,7 +180,6 @@ def _solve(jac: Jacobian, scale: float, lop: csr_matrix, data: np.ndarray,
 
         f_new = objective(resid, t + s * ld)
         trace.objective.append(float(f_new))
-        trace.step_len.append(float(s))
         trace.dual_max.append(float(np.abs(y).max()))
         trace.cg_iters.append(cg_iters)
         trace.cg_resid.append(cg_resid)

@@ -20,7 +20,7 @@ from eitprobe.errors import ProvenanceError
 from eitprobe.forward import (MeasurementSchedule, StimPattern, VoltageFrame,
                               write_frame_csv)
 from eitprobe.gn import element_to_nodal
-from eitprobe.mesh import TankGeometry, elements_in_ellipsoid
+from eitprobe.mesh import TankGeometry
 from eitprobe.metrics import full_report
 
 IDENTITY_QUAT = (0.0, 0.0, 0.0, 1.0)
@@ -219,8 +219,45 @@ class TestRasterize:
             inside = np.sum((body / np.asarray(t.semi_axes)) ** 2, axis=1) <= 1.0
             want = np.where(inside, t.sigma_in, t.sigma_bg)
             assert np.array_equal(sigma, want)
-            got_set = set(elements_in_ellipsoid(tiny_mesh, t).tolist())
-            assert got_set == set(np.where(inside)[0].tolist())
+            assert np.array_equal(t.form(tiny_mesh.centroids) <= 1.0, inside)
+
+    def test_form_far_away_is_outside(self, tiny_mesh):
+        far = TargetSpec(center=(200.0, 0.0, 0.0), semi_axes=(2.0, 2.0, 2.0))
+        assert np.all(far.form(tiny_mesh.centroids) > 1.0)
+
+    def test_form_enclosing_is_inside(self, tiny_mesh):
+        g = tiny_mesh.geometry
+        r = 2.0 * (g.tank_radius + g.tank_height)
+        dom = TargetSpec(center=(0.0, 0.0, 0.0), semi_axes=(r, r, r))
+        assert np.all(dom.form(tiny_mesh.centroids) <= 1.0)
+
+    def test_form_matches_component_oracle(self, tiny_mesh):
+        rng = np.random.default_rng(42)
+        for _ in range(5):
+            center = np.array([rng.uniform(2, 20), rng.uniform(-8, 8),
+                               rng.uniform(-4, 4)])
+            axes = rng.uniform(2.0, 7.0, size=3)
+            half = rng.uniform(0, 2 * math.pi) / 2.0
+            # a rotation about z
+            t = TargetSpec(center=tuple(center), semi_axes=tuple(axes),
+                           quat=(0.0, 0.0, math.sin(half), math.cos(half)))
+            rot = t.rotation_matrix()
+            form = t.form(tiny_mesh.centroids)
+            expect = set()
+            for idx in range(tiny_mesh.n_elements):
+                d = tiny_mesh.centroids[idx] - center
+                # inverse rotation applied explicitly, component by component
+                q0 = rot[0, 0] * d[0] + rot[1, 0] * d[1] + rot[2, 0] * d[2]
+                q1 = rot[0, 1] * d[0] + rot[1, 1] * d[1] + rot[2, 1] * d[2]
+                q2 = rot[0, 2] * d[0] + rot[1, 2] * d[1] + rot[2, 2] * d[2]
+                val = (q0 / axes[0]) ** 2 + (q1 / axes[1]) ** 2 + (q2 / axes[2]) ** 2
+                assert form[idx] == pytest.approx(val, rel=1e-12)
+                if val <= 1.0:
+                    expect.add(idx)
+            assert expect
+            assert set(np.flatnonzero(form <= 1.0).tolist()) == expect
+            inside = rasterize_target(tiny_mesh, t) == t.sigma_in
+            assert set(np.flatnonzero(inside).tolist()) == expect
 
 
 class TestNoise:

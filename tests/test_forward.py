@@ -64,6 +64,22 @@ def test_schedule_retention_symmetric(tiny_schedule):
             assert d in tiny_schedule.retained[p]
 
 
+@pytest.mark.parametrize("name", ["tiny_schedule", "lopsided_schedule"])
+def test_measurement_index_matches_the_double_loop(name, request):
+    schedule = request.getfixturevalue(name)
+    drive, meas, rows = [], [], []
+    for d in range(schedule.n_injections):
+        for p in schedule.retained[d]:
+            drive.append(d)
+            meas.append(p)
+            rows.append((d, schedule.pairs[p, 0], schedule.pairs[p, 1]))
+    got_drive, got_meas = schedule.pair_index
+    assert np.array_equal(got_drive, drive)
+    assert np.array_equal(got_meas, meas)
+    assert schedule.rows.dtype == np.int64
+    assert np.array_equal(schedule.rows, rows)
+
+
 def test_matrix_exactly_symmetric(tiny_system):
     diff = tiny_system.matrix - tiny_system.matrix.T
     assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0

@@ -6,27 +6,12 @@ import pytest
 
 from eitprobe.errors import GeometryError, MeshingError
 from eitprobe.mesh import (RefinementSpec, TankGeometry, build_mesh,
-                           elements_in_ellipsoid, mesh_to_json_bytes)
+                           mesh_to_json_bytes)
 
 # Recorded once from the default desk-scale build; guards against silent
 # changes to the grading logic.
 DESK_NODE_COUNT = 5520
 DESK_TET_COUNT = 28512
-
-
-class _Ellipsoid:
-    def __init__(self, center, semi_axes, rot):
-        self.center = np.asarray(center, dtype=float)
-        self.semi_axes = np.asarray(semi_axes, dtype=float)
-        self._rot = np.asarray(rot, dtype=float)
-
-    def rotation_matrix(self):
-        return self._rot
-
-
-def _rot_z(angle):
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 def test_default_geometry_is_valid():
@@ -160,40 +145,6 @@ def test_interior_faces_shared_by_two(tiny_mesh):
     # each tet contributes 4 faces; every face is either interior (2 owners)
     # or boundary (1 owner)
     assert 2 * faces.shape[0] + n_bnd == 4 * tiny_mesh.n_elements
-
-
-def test_elements_in_ellipsoid_far_away_empty(tiny_mesh):
-    far = _Ellipsoid([200.0, 0.0, 0.0], [2.0, 2.0, 2.0], np.eye(3))
-    assert elements_in_ellipsoid(tiny_mesh, far).size == 0
-
-
-def test_elements_in_ellipsoid_enclosing_full(tiny_mesh):
-    g = tiny_mesh.geometry
-    r = 2.0 * (g.tank_radius + g.tank_height)
-    dom = _Ellipsoid([0.0, 0.0, 0.0], [r, r, r], np.eye(3))
-    assert elements_in_ellipsoid(tiny_mesh, dom).size == tiny_mesh.n_elements
-
-
-def test_elements_in_ellipsoid_matches_bruteforce(tiny_mesh):
-    rng = np.random.default_rng(42)
-    for _ in range(5):
-        center = np.array([rng.uniform(2, 20), rng.uniform(-8, 8), rng.uniform(-4, 4)])
-        axes = rng.uniform(2.0, 7.0, size=3)
-        rot = _rot_z(rng.uniform(0, 2 * math.pi))
-        tgt = _Ellipsoid(center, axes, rot)
-        got = set(elements_in_ellipsoid(tiny_mesh, tgt).tolist())
-        expect = set()
-        for idx in range(tiny_mesh.n_elements):
-            c = tiny_mesh.centroids[idx]
-            d = c - center
-            # inverse rotation applied explicitly, component by component
-            q0 = rot[0, 0] * d[0] + rot[1, 0] * d[1] + rot[2, 0] * d[2]
-            q1 = rot[0, 1] * d[0] + rot[1, 1] * d[1] + rot[2, 1] * d[2]
-            q2 = rot[0, 2] * d[0] + rot[1, 2] * d[1] + rot[2, 2] * d[2]
-            val = (q0 / axes[0]) ** 2 + (q1 / axes[1]) ** 2 + (q2 / axes[2]) ** 2
-            if val <= 1.0:
-                expect.add(idx)
-        assert got == expect
 
 
 def test_degenerate_refinement_rejected():

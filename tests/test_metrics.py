@@ -2,7 +2,10 @@
 ellipsoid surface area against closed forms, and NADE, |dRES| and SD
 against voxel sets counted independently in numpy."""
 
+import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -22,8 +25,7 @@ TILTED = (0.2, -0.1, 0.3, math.sqrt(1.0 - 0.14))
 def _centers(spec: GridSpec) -> np.ndarray:
     """(dims**3, 3) voxel centers in C order."""
     h = 2.0 * spec.half_width / spec.dims
-    axes = [c - spec.half_width + h * (np.arange(spec.dims) + 0.5)
-            for c in spec.center]
+    axes = [-spec.half_width + h * (np.arange(spec.dims) + 0.5)] * 3
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
@@ -117,6 +119,16 @@ def test_voxelizer_interpolates_p1(tiny_mesh, located):
     ok = vox.inside & (depth > 1e-9)
     brute = np.einsum("pk,pk->p", bary, img[tiny_mesh.tets[el]])
     assert np.allclose(vals[ok], brute[ok], rtol=0.0, atol=1e-10)
+
+
+def test_voxelizer_is_freed_with_its_mesh(tiny_mesh):
+    # a fresh Mesh object over the same arrays, so only this test holds it
+    mesh = dataclasses.replace(tiny_mesh)
+    vox = weakref.ref(get_voxelizer(mesh, COARSE_GRID))
+    assert get_voxelizer(mesh, COARSE_GRID) is vox()
+    del mesh
+    gc.collect()
+    assert vox() is None
 
 
 # --- surface area --------------------------------------------------------------
