@@ -19,8 +19,12 @@ The geometry comes from its owners: barycentric coordinates from
 ``Mesh.shape_gradients``, the truth and the region of interest from
 ``TargetSpec.form``.
 
+A ``Voxelizer`` holds one sparse nodes-to-voxels interpolation matrix,
+built by array-wide point-in-element tests over groups of elements with
+boxes of one size, so voxelizing an image is one sparse product.
 Voxelizers are cached per mesh object and grid; the cache holds the mesh
-weakly, so a voxelizer is freed with its mesh.
+weakly, so a voxelizer is freed with its mesh. The target's form is
+evaluated only on the voxels of the box around its doubled ellipsoid.
 
 All metric values reduce to integer voxel counts pushed through one
 arithmetic expression, so independently coded counting oracles must match
@@ -34,6 +38,7 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.special import ellipeinc, ellipkinc
 
 from .datagen import SampleBounds, TargetSpec, target_probe_distance
@@ -42,6 +47,9 @@ from .mesh import Mesh
 
 # sphere of the default placement bound
 V_DOMAIN = 4.0 / 3.0 * math.pi * SampleBounds().max_distance ** 3
+# candidate voxels per chunk of the voxelizer build; caps its working set
+# at a few arrays of this many rows
+_CHUNK_VOXELS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -86,65 +94,85 @@ def _check_shape(shape: tuple, *volumes: np.ndarray) -> None:
 
 
 class Voxelizer:
-    """Precomputed voxel-to-tetrahedron interpolation for one mesh/grid
-    pairing; building it walks every element once, applying it to an
-    image is a single gather."""
+    """Precomputed P1 interpolation from one mesh's nodes onto one grid.
+
+    ``inside`` flags the voxels whose center lies in some element, and
+    ``matrix`` is an n_vox-by-n_nodes CSR matrix with the four barycentric
+    weights of the containing element on each inside voxel's row and an
+    empty row elsewhere, so applying it to an image is one sparse product.
+
+    The build groups the elements by the extent of their grid box and
+    tests each group chunk by chunk on the voxels in the boxes. The
+    barycentrics are separable over the axes, lambda = A_x[ix] + A_y[iy] +
+    A_z[iz], with every coordinate down to -1e-12 counting as inside. A
+    voxel on a face or an edge shared by several elements takes the
+    lowest-indexed one.
+    """
 
     def __init__(self, mesh: Mesh, spec: GridSpec):
         spec.validate()
-        self.mesh_id = mesh.mesh_id
         self.spec = spec
-        xs, ys, zs = spec.axes()
-        nx, ny, nz = spec.shape
-        n_vox = nx * ny * nz
+        axes = spec.axes()
+        n = spec.dims
         h = spec.spacing
-        origin = spec.origin
-
-        tet_of = np.full(n_vox, -1, dtype=np.int64)
-        bary = np.zeros((n_vox, 4))
-        nodes = mesh.nodes
         tets = mesh.tets
-        v0 = nodes[tets[:, 0]]
-        # lambda_k = (p - v0) . grad phi_k for k = 1..3
-        grads_t = mesh.shape_gradients[:, 1:, :].transpose(0, 2, 1)
+        corners = mesh.nodes[tets]
+        v0 = corners[:, 0]
+        # lambda_k = (p - v0) . grad phi_k for k = 1..3, as (k, element, axis)
+        grads = mesh.shape_gradients[:, 1:, :].transpose(1, 0, 2)
 
-        lo_idx = np.ceil((nodes[tets].min(axis=1) - origin) / h - 1e-12)
-        hi_idx = np.floor((nodes[tets].max(axis=1) - origin) / h + 1e-12)
-        lo_idx = np.clip(lo_idx, 0, np.array(spec.shape) - 1).astype(np.int64)
-        hi_idx = np.clip(hi_idx, -1, np.array(spec.shape) - 1).astype(np.int64)
+        def barycentric(els, ix, iy, iz):
+            """lambda_1..3 (leading axis) of elements ``els`` at the voxels
+            (ix, iy, iz), one separable term per axis, all broadcast."""
+            t = [(axes[a][i] - v0[els, a]) * grads[:, els, a]
+                 for a, i in enumerate((ix, iy, iz))]
+            return t[0] + t[1] + t[2]
 
-        for e in range(mesh.n_elements):
-            (x0, y0, z0), (x1, y1, z1) = lo_idx[e], hi_idx[e]
-            if x1 < x0 or y1 < y0 or z1 < z0:
-                continue
-            gx, gy, gz = np.meshgrid(np.arange(x0, x1 + 1),
-                                     np.arange(y0, y1 + 1),
-                                     np.arange(z0, z1 + 1), indexing="ij")
-            flat = ((gx * ny + gy) * nz + gz).ravel()
-            flat = flat[tet_of[flat] < 0]
-            if flat.size == 0:
-                continue
-            pts = np.column_stack([xs[flat // (ny * nz)],
-                                   ys[(flat // nz) % ny],
-                                   zs[flat % nz]])
-            lam = (pts - v0[e]) @ grads_t[e]
-            lam0 = 1.0 - lam.sum(axis=1)
-            ok = (lam.min(axis=1) >= -1e-12) & (lam0 >= -1e-12)
-            if not ok.any():
-                continue
-            sel = flat[ok]
-            tet_of[sel] = e
-            bary[sel, 0] = lam0[ok]
-            bary[sel, 1:] = lam[ok]
+        lo = np.ceil((corners.min(axis=1) - spec.origin) / h - 1e-12)
+        hi = np.floor((corners.max(axis=1) - spec.origin) / h + 1e-12)
+        lo = np.maximum(lo, 0).astype(np.int64)
+        hi = np.minimum(hi, n - 1).astype(np.int64)
+        live = np.flatnonzero(np.all(hi >= lo, axis=1))
+        extents, group = np.unique(hi[live] - lo[live] + 1, axis=0,
+                                   return_inverse=True)
+        members = np.split(live[np.argsort(group, kind="stable")],
+                           np.cumsum(np.bincount(group))[:-1])
 
-        self.tet_of = tet_of
-        self.bary = bary
-        self.inside = tet_of >= 0
-        self.corner_nodes = tets[np.where(self.inside, tet_of, 0)]
+        owner = np.full(n ** 3, mesh.n_elements, dtype=np.int64)
+        for ext, group_els in zip(extents, members):
+            step = max(1, _CHUNK_VOXELS // int(ext.prod()))
+            for c in range(0, len(group_els), step):
+                els = group_els[c:c + step, None, None, None]
+                # (chunk, ex, ey, ez) once broadcast
+                ix = lo[els, 0] + np.arange(ext[0])[:, None, None]
+                iy = lo[els, 1] + np.arange(ext[1])[:, None]
+                iz = lo[els, 2] + np.arange(ext[2])
+                lam = barycentric(els, ix, iy, iz)
+                ok = ((lam.min(axis=0) >= -1e-12)
+                      & (1.0 - lam.sum(axis=0) >= -1e-12))
+                np.minimum.at(owner, ((ix * n + iy) * n + iz)[ok],
+                              np.broadcast_to(els, ok.shape)[ok])
+
+        self.inside = owner < mesh.n_elements
+        vox = np.flatnonzero(self.inside)
+        owner = owner[vox]
+        # the owners' weights, recomputed in chunks rather than kept per
+        # candidate, so the build holds no dense (n_vox, 3) array
+        weights = np.empty((len(vox), 4))
+        for c in range(0, len(vox), _CHUNK_VOXELS):
+            rows = slice(c, c + _CHUNK_VOXELS)
+            lam = barycentric(owner[rows], *np.unravel_index(vox[rows],
+                                                             spec.shape))
+            weights[rows, 0] = 1.0 - lam.sum(axis=0)
+            weights[rows, 1:] = lam.T
+        indptr = np.zeros(n ** 3 + 1, dtype=np.int64)
+        np.cumsum(self.inside, out=indptr[1:])
+        indptr *= 4
+        self.matrix = csr_matrix((weights.ravel(), tets[owner].ravel(), indptr),
+                                 shape=(n ** 3, mesh.n_nodes))
 
     def apply(self, img: np.ndarray) -> np.ndarray:
-        vals = np.einsum("vk,vk->v", self.bary, img[self.corner_nodes])
-        return np.where(self.inside, vals, 0.0).reshape(self.spec.shape)
+        return (self.matrix @ img).reshape(self.spec.shape)
 
 
 # mesh -> {GridSpec: Voxelizer}; an entry goes when its mesh is freed
@@ -224,6 +252,27 @@ def shape_deformation(recon: np.ndarray, truth: np.ndarray) -> float:
     return 100.0 * spurious / n_recon
 
 
+def _target_form(target: TargetSpec, spec: GridSpec) -> np.ndarray:
+    """``target.form`` at the voxel centers, evaluated only in the box that
+    can hold a value of at most 4 and +inf elsewhere.
+
+    The doubled ellipsoid reaches 2 * sqrt(sum_k (R[a, k] * s_k)**2) from
+    its center along axis a; the box adds one voxel to that on each side.
+    """
+    h = spec.spacing
+    scaled = target.rotation_matrix() * np.asarray(target.semi_axes)
+    reach = 2.0 * np.sqrt(np.sum(scaled ** 2, axis=1)) + h
+    center = np.asarray(target.center, dtype=np.float64)
+    lo = np.ceil((center - reach - spec.origin) / h)
+    hi = np.floor((center + reach - spec.origin) / h) + 1
+    box = tuple(slice(int(a), int(b)) for a, b in
+                zip(np.clip(lo, 0, spec.dims), np.clip(hi, 0, spec.dims)))
+    q = np.full(spec.shape, np.inf)
+    q[box] = target.form(np.stack(np.meshgrid(
+        *(ax[b] for ax, b in zip(spec.axes(), box)), indexing="ij"), axis=-1))
+    return q
+
+
 @dataclass(frozen=True)
 class ErrorReport:
     """One case's figures of merit."""
@@ -243,6 +292,9 @@ def full_report(mesh: Mesh, img: np.ndarray, target: TargetSpec,
                 domain_volume: float = V_DOMAIN) -> ErrorReport:
     """Voxelize, threshold and score one reconstruction.
 
+    The image goes through the mesh's cached voxelizer (one sparse
+    product). The truth and the region of interest come from the target's
+    form, evaluated only in the voxel box around the doubled ellipsoid.
     A reconstruction with no positive contrast cannot be thresholded; it
     scores as the empty reconstruction (the whole truth missed, SD pinned
     at 100) and is tagged so sweeps can count such cases.
@@ -250,7 +302,7 @@ def full_report(mesh: Mesh, img: np.ndarray, target: TargetSpec,
     geom = mesh.geometry
     distance = target_probe_distance(target, geom)
     values = voxelize(mesh, img, spec)
-    q = target.form(np.stack(np.meshgrid(*spec.axes(), indexing="ij"), axis=-1))
+    q = _target_form(target, spec)
     truth, roi = q <= 1.0, q <= 4.0
     try:
         recon = threshold_quarter(values)
