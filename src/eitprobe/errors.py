@@ -43,7 +43,3 @@ class SingularGramError(EitProbeError):
 
 class DegenerateDataError(EitProbeError):
     """Training inputs are degenerate (e.g. all identical with k > 1)."""
-
-
-class EmptyImageError(EitProbeError):
-    """Thresholding found no voxel of positive contrast."""

@@ -11,24 +11,23 @@ lying outside the truth, in percent). The probe size comes from the
 mesh's geometry.
 
 The frozen ``GridSpec`` is the only grid geometry: a cube centred on the
-middle of the probe. Whatever lives on a grid is a plain array of
-``spec.shape``: float for a voxelized image, bool for a thresholded
-reconstruction or a rasterized ellipsoid. The scorers take such arrays
-together with their spec and raise ``DimensionError`` on a shape mismatch.
-The geometry comes from its owners: barycentric coordinates from
-``Mesh.shape_gradients``, the truth and the region of interest from
-``TargetSpec.form``.
+middle of the probe. The geometry comes from its owners: barycentric
+coordinates from ``Mesh.shape_gradients``, the truth and the region of
+interest from ``TargetSpec.form``.
 
 A ``Voxelizer`` holds one sparse nodes-to-voxels interpolation matrix,
 built by array-wide point-in-element tests over groups of elements with
 boxes of one size, so voxelizing an image is one sparse product.
 Voxelizers are cached per mesh object and grid; the cache holds the mesh
-weakly, so a voxelizer is freed with its mesh. The target's form is
-evaluated only on the voxels of the box around its doubled ellipsoid.
+weakly, so a voxelizer is freed with its mesh.
 
-All metric values reduce to integer voxel counts pushed through one
-arithmetic expression, so independently coded counting oracles must match
-them exactly, and positive rescaling of the input image cannot move them.
+``full_report`` scores an image in one counting pass. The truth and the
+region of interest lie inside the voxel box around the target's doubled
+ellipsoid, so the form is evaluated there only, and every figure comes
+from four integer counts: the reconstruction over the whole grid, and the
+truth, the error set and the hit set in the box. Independently coded
+counting oracles must therefore match the figures exactly, and positive
+rescaling of the input image cannot move them.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from scipy.sparse import csr_matrix
 from scipy.special import ellipeinc, ellipkinc
 
 from .datagen import SampleBounds, TargetSpec, target_probe_distance
-from .errors import DimensionError, EmptyImageError
+from .errors import DimensionError
 from .mesh import Mesh
 
 # sphere of the default placement bound
@@ -86,11 +85,6 @@ class GridSpec:
 
 
 DEFAULT_GRID = GridSpec()
-
-
-def _check_shape(shape: tuple, *volumes: np.ndarray) -> None:
-    if any(v.shape != shape for v in volumes):
-        raise DimensionError("volumes live on different grids")
 
 
 class Voxelizer:
@@ -186,23 +180,6 @@ def get_voxelizer(mesh: Mesh, spec: GridSpec = DEFAULT_GRID) -> Voxelizer:
     return per_grid[spec]
 
 
-def voxelize(mesh: Mesh, img: np.ndarray,
-             spec: GridSpec = DEFAULT_GRID) -> np.ndarray:
-    """Sample a nodal image onto the grid; outside-mesh voxels are zero."""
-    img = np.asarray(img, dtype=np.float64)
-    if img.shape != (mesh.n_nodes,):
-        raise DimensionError("image length does not match the mesh")
-    return get_voxelizer(mesh, spec).apply(img)
-
-
-def threshold_quarter(values: np.ndarray) -> np.ndarray:
-    """Voxels at or above a quarter of the peak value."""
-    peak = float(values.max())
-    if peak <= 0.0:
-        raise EmptyImageError("image has no positive contrast")
-    return values >= 0.25 * peak
-
-
 def ellipsoid_surface_area(semi_axes) -> float:
     """Exact triaxial ellipsoid surface area via Legendre integrals."""
     a, b, c = sorted((float(v) for v in semi_axes), reverse=True)
@@ -217,47 +194,13 @@ def ellipsoid_surface_area(semi_axes) -> float:
                + ellipkinc(phi, m) * math.cos(phi) ** 2))
 
 
-def nade(recon: np.ndarray, truth: np.ndarray, roi: np.ndarray,
-         spec: GridSpec, target, probe_diameter: float) -> float:
-    """Normalized average distance error against the analytic truth.
-
-    Error volume is the symmetric difference between the reconstruction
-    restricted to the 2x concentric region of interest ``roi`` and the
-    voxelized ``truth``; it is divided by the truth surface area, then by
-    the probe diameter.
-    """
-    _check_shape(spec.shape, recon, truth, roi)
-    err = int(np.count_nonzero((recon & roi) ^ truth))
-    h = spec.spacing
-    return ((err * h ** 3) / ellipsoid_surface_area(target.semi_axes)) / probe_diameter
-
-
-def delta_res(recon: np.ndarray, truth: np.ndarray, spec: GridSpec,
-              domain_volume: float = V_DOMAIN) -> float:
-    """Cube-root volume-fraction difference, in percent."""
-    _check_shape(spec.shape, recon, truth)
-    h = spec.spacing
-    res_r = (int(np.count_nonzero(recon)) * h ** 3 / domain_volume) ** (1.0 / 3.0)
-    res_t = (int(np.count_nonzero(truth)) * h ** 3 / domain_volume) ** (1.0 / 3.0)
-    return abs(res_r - res_t) * 100.0
-
-
-def shape_deformation(recon: np.ndarray, truth: np.ndarray) -> float:
-    """Share of the reconstruction lying outside the truth, in percent."""
-    _check_shape(recon.shape, truth)
-    n_recon = int(np.count_nonzero(recon))
-    if n_recon == 0:
-        raise EmptyImageError("empty reconstruction")
-    spurious = int(np.count_nonzero(recon & ~truth))
-    return 100.0 * spurious / n_recon
-
-
-def _target_form(target: TargetSpec, spec: GridSpec) -> np.ndarray:
-    """``target.form`` at the voxel centers, evaluated only in the box that
-    can hold a value of at most 4 and +inf elsewhere.
+def _target_box(target: TargetSpec, spec: GridSpec) -> tuple:
+    """The voxel box that holds every voxel where ``target.form`` is at
+    most 4, as a tuple of slices, and the form's values on that box.
 
     The doubled ellipsoid reaches 2 * sqrt(sum_k (R[a, k] * s_k)**2) from
-    its center along axis a; the box adds one voxel to that on each side.
+    its center along axis a; the box adds one voxel to that on each side
+    and is clipped to the grid, so it may be empty.
     """
     h = spec.spacing
     scaled = target.rotation_matrix() * np.asarray(target.semi_axes)
@@ -267,10 +210,8 @@ def _target_form(target: TargetSpec, spec: GridSpec) -> np.ndarray:
     hi = np.floor((center + reach - spec.origin) / h) + 1
     box = tuple(slice(int(a), int(b)) for a, b in
                 zip(np.clip(lo, 0, spec.dims), np.clip(hi, 0, spec.dims)))
-    q = np.full(spec.shape, np.inf)
-    q[box] = target.form(np.stack(np.meshgrid(
+    return box, target.form(np.stack(np.meshgrid(
         *(ax[b] for ax, b in zip(spec.axes(), box)), indexing="ij"), axis=-1))
-    return q
 
 
 @dataclass(frozen=True)
@@ -288,30 +229,47 @@ class ErrorReport:
 
 def full_report(mesh: Mesh, img: np.ndarray, target: TargetSpec,
                 spec: GridSpec = DEFAULT_GRID, method: str = "",
-                case_id: str = "",
-                domain_volume: float = V_DOMAIN) -> ErrorReport:
+                case_id: str = "") -> ErrorReport:
     """Voxelize, threshold and score one reconstruction.
 
     The image goes through the mesh's cached voxelizer (one sparse
-    product). The truth and the region of interest come from the target's
-    form, evaluated only in the voxel box around the doubled ellipsoid.
-    A reconstruction with no positive contrast cannot be thresholded; it
-    scores as the empty reconstruction (the whole truth missed, SD pinned
-    at 100) and is tagged so sweeps can count such cases.
+    product), and the reconstruction is the voxels at or above a quarter
+    of its peak. Truth (form <= 1) and the 2x region of interest (form <=
+    4) are taken on the target's box alone. Four counts then give every
+    figure: the reconstruction, the truth, the symmetric difference of the
+    reconstruction within the region of interest and the truth (NADE's
+    error volume, over the truth's surface area and the probe diameter),
+    and the reconstruction within the truth (SD's spurious share is the
+    rest of the reconstruction). |dRES| compares the cube roots of the
+    reconstruction's and the truth's shares of ``V_DOMAIN``.
+
+    An image with no positive contrast gives the empty reconstruction: it
+    misses the whole truth, its SD is pinned at 100 and it is tagged
+    ``worst_case`` so sweeps can count such cases.
     """
+    img = np.asarray(img, dtype=np.float64)
+    if img.shape != (mesh.n_nodes,):
+        raise DimensionError("image length does not match the mesh")
+    values = get_voxelizer(mesh, spec).apply(img)
+    peak = float(values.max())
+    recon = (values >= 0.25 * peak if peak > 0.0
+             else np.zeros(spec.shape, dtype=bool))
+    box, q = _target_box(target, spec)
+    truth, seen = q <= 1.0, recon[box]
+    n_recon = int(np.count_nonzero(recon))
+    n_truth = int(np.count_nonzero(truth))
+    n_err = int(np.count_nonzero((seen & (q <= 4.0)) ^ truth))
+    n_hit = int(np.count_nonzero(seen & truth))
+
     geom = mesh.geometry
-    distance = target_probe_distance(target, geom)
-    values = voxelize(mesh, img, spec)
-    q = _target_form(target, spec)
-    truth, roi = q <= 1.0, q <= 4.0
-    try:
-        recon = threshold_quarter(values)
-    except EmptyImageError:
-        recon = np.zeros(spec.shape, dtype=bool)
-    worst_case = not recon.any()
+    h = spec.spacing
+    res_r, res_t = ((n * h ** 3 / V_DOMAIN) ** (1.0 / 3.0)
+                    for n in (n_recon, n_truth))
     return ErrorReport(
-        method=method, case_id=case_id, distance=distance,
-        nade=nade(recon, truth, roi, spec, target, 2.0 * geom.probe_radius),
-        delta_res_pct=delta_res(recon, truth, spec, domain_volume),
-        sd_pct=100.0 if worst_case else shape_deformation(recon, truth),
-        worst_case=worst_case)
+        method=method, case_id=case_id,
+        distance=target_probe_distance(target, geom),
+        nade=(((n_err * h ** 3) / ellipsoid_surface_area(target.semi_axes))
+              / (2.0 * geom.probe_radius)),
+        delta_res_pct=abs(res_r - res_t) * 100.0,
+        sd_pct=100.0 if n_recon == 0 else 100.0 * (n_recon - n_hit) / n_recon,
+        worst_case=n_recon == 0)

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from eitprobe.datagen import TargetSpec, rasterize_target
+from eitprobe.errors import DimensionError
 from eitprobe.gn import element_to_nodal
 from eitprobe.mesh import Mesh, TankGeometry
-from eitprobe.metrics import (DEFAULT_GRID, GridSpec, Voxelizer, _target_form,
+from eitprobe.metrics import (DEFAULT_GRID, GridSpec, Voxelizer, _target_box,
                               ellipsoid_surface_area, full_report,
                               get_voxelizer)
 
@@ -330,14 +331,37 @@ DIAGONAL = TargetSpec(center=(-1.0, 0.5, 0.0), semi_axes=(0.6, 0.8, 3.5),
                             math.cos(_TILT)))
 
 
-@pytest.mark.parametrize("target", TARGETS + CLIPPED + [DIAGONAL])
-def test_report_matches_counted_voxel_sets(tiny_mesh, target):
-    img = _truth_image(tiny_mesh, target)
-    report = full_report(tiny_mesh, img, target, spec=FINE_GRID,
-                         method="truth", case_id="c0")
-    assert (report.method, report.case_id) == ("truth", "c0")
-    _assert_matches(report, _expected(tiny_mesh, img, target, FINE_GRID))
-    assert report.sd_pct > 0.0
+# (image source, scored target): each target against its own truth image,
+# then a miss, where no quarter-peak voxel of the truth image of TARGETS[0]
+# lies in the region of interest of TARGETS[2]
+SCORED = ([(t, t) for t in TARGETS + CLIPPED + [DIAGONAL]]
+          + [(TARGETS[0], TARGETS[2])])
+
+
+@pytest.mark.parametrize("source, target", SCORED,
+                         ids=[f"target{i}" for i in range(len(SCORED) - 1)]
+                         + ["miss"])
+def test_report_matches_counted_voxel_sets(tiny_mesh, source, target):
+    images = {
+        "truth": _truth_image(tiny_mesh, source),
+        # its quarter-peak set is spread over the grid, so it straddles the
+        # edge of the target's box
+        "random": np.random.default_rng(7).standard_normal(tiny_mesh.n_nodes),
+    }
+    reports = {}
+    for kind, img in images.items():
+        report = full_report(tiny_mesh, img, target, spec=FINE_GRID,
+                             method=kind, case_id="c0")
+        assert (report.method, report.case_id) == (kind, "c0")
+        _assert_matches(report, _expected(tiny_mesh, img, target, FINE_GRID))
+        assert report.sd_pct > 0.0
+        reports[kind] = report
+    if source is not target:
+        # a miss scores exactly like a blank image
+        blank = full_report(tiny_mesh, np.zeros(tiny_mesh.n_nodes), target,
+                            spec=FINE_GRID)
+        assert reports["truth"].nade == blank.nade
+        assert reports["truth"].sd_pct == 100.0
 
 
 @pytest.mark.parametrize("target", TARGETS)
@@ -357,8 +381,7 @@ def test_empty_image_scores_worst_case(tiny_mesh):
         np.sum((body / np.asarray(target.semi_axes)) ** 2, axis=1) <= 1.0)
     v = (2.0 * FINE_GRID.half_width / FINE_GRID.dims) ** 3
     assert report.worst_case
-    assert report.nade == pytest.approx(
-        n_truth * v / ellipsoid_surface_area(target.semi_axes) / 2.0, rel=1e-12)
+    assert report.nade == n_truth * v / ellipsoid_surface_area(target.semi_axes) / 2.0
     assert report.delta_res_pct == pytest.approx(
         np.cbrt(n_truth * v / DOMAIN_VOLUME) * 100.0, rel=1e-12)
     assert report.sd_pct == 100.0
@@ -381,11 +404,12 @@ def test_report_uses_the_mesh_probe(big_probe_mesh):
 @pytest.mark.parametrize("target", TARGETS + CLIPPED + [DIAGONAL])
 def test_target_form_is_the_full_grid_form_in_its_box(target):
     full = target.form(_centers(FINE_GRID)).reshape(FINE_GRID.shape)
-    boxed = _target_form(target, FINE_GRID)
-    seen = np.isfinite(boxed)
-    assert np.array_equal(boxed[seen], full[seen])
-    assert np.all(full[~seen] > 4.0)
-    assert seen.mean() < 0.5
+    box, boxed = _target_box(target, FINE_GRID)
+    assert np.array_equal(boxed, full[box])
+    outside = np.ones(FINE_GRID.shape, dtype=bool)
+    outside[box] = False
+    assert np.all(full[outside] > 4.0)
+    assert boxed.size < 0.5 * full.size
 
 
 def test_target_outside_the_grid_has_empty_truth(tiny_mesh):
@@ -395,9 +419,18 @@ def test_target_outside_the_grid_has_empty_truth(tiny_mesh):
     vals = get_voxelizer(tiny_mesh, FINE_GRID).apply(img)
     n_recon = np.count_nonzero(vals >= 0.25 * vals.max())
     v = (2.0 * FINE_GRID.half_width / FINE_GRID.dims) ** 3
-    assert not np.isfinite(_target_form(outside, FINE_GRID)).any()
+    assert _target_box(outside, FINE_GRID)[1].size == 0
     assert not report.worst_case
     assert report.nade == 0.0
     assert report.delta_res_pct == pytest.approx(
         np.cbrt(n_recon * v / DOMAIN_VOLUME) * 100.0, rel=1e-12)
     assert report.sd_pct == 100.0
+
+
+def test_report_refuses_bad_inputs(tiny_mesh):
+    img = _truth_image(tiny_mesh, TARGETS[0])
+    for spec in (GridSpec(dims=4), GridSpec(half_width=0.0)):
+        with pytest.raises(ValueError):
+            full_report(tiny_mesh, img, TARGETS[0], spec=spec)
+    with pytest.raises(DimensionError):
+        full_report(tiny_mesh, img[:-1], TARGETS[0], spec=FINE_GRID)
