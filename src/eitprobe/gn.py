@@ -22,9 +22,13 @@ with P the measurement-to-row expansion and P'P = C = diag(counts), so
 
 where P' folds the measurements, summing twins onto their row. So R and
 the dense block are sized by the distinct rows, 464 for the adjacent
-schedule's 928 measurements, each one sparse solve; the solves are streamed
-in blocks, so no element-by-row array beyond one block is held besides the
-Jacobian.
+schedule's 928 measurements, each one sparse solve. The solves are streamed
+in narrow column blocks, so the build holds the Jacobian, the prior's
+factor, the rows-by-rows block, the nodes-by-rows Z (R in the end) and
+about three elements-by-block arrays: the right-hand side, the solution and
+SuperLU's work array. Narrow blocks cost no time: the prior factor has
+nearly one supernode per column, so a solve costs the same per right-hand
+side at any width.
 """
 
 from __future__ import annotations
@@ -45,9 +49,11 @@ from .mesh import Mesh
 
 DEFAULT_LAMBDA = 0.03
 _PRIOR_RIDGE = 1e-8
-# Jacobian rows per solve block of the matrix build; caps its working
-# set at a few element-by-block arrays
-_BLOCK_COLUMNS = 128
+# Jacobian rows per solve block of the matrix build. Each block holds
+# about three elements-by-block arrays at once (7.3 MB each on the desk
+# mesh at 32); a solve's cost per column is flat in the width, and 32 saves
+# almost all that 16 would at no extra time
+_BLOCK_COLUMNS = 32
 
 
 @dataclass(frozen=True)
@@ -173,4 +179,6 @@ def reconstruct_gn(rmat: ReconstructionMatrix, dv, mesh: Mesh) -> np.ndarray:
         values = np.asarray(dv, dtype=np.float64)
     if values.shape != rmat.row_index.shape:
         raise DimensionError("voltage difference length does not match the matrix")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("dv must be finite everywhere")
     return rmat.matrix @ _fold_twins(rmat.row_index, values)

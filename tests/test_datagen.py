@@ -259,6 +259,21 @@ class TestRasterize:
             inside = rasterize_target(tiny_mesh, t) == t.sigma_in
             assert set(np.flatnonzero(inside).tolist()) == expect
 
+    def test_form_matches_the_summed_reference(self):
+        # rasterization and the voxel truth are pinned to this sum's bits
+        rng = np.random.default_rng(8)
+        for shape in ((257, 3), (9, 7, 5, 3)):
+            for _ in range(4):
+                t = sample_target(rng, GEOM, TINY_BOUNDS)
+                p = rng.uniform(-12.0, 12.0, size=shape)
+                c = np.asarray(t.center)
+                a = np.asarray(t.semi_axes)
+                expect = np.sum(((p - c) @ t.rotation_matrix() / a) ** 2,
+                                axis=-1)
+                got = t.form(p)
+                assert got.shape == shape[:-1]
+                assert np.array_equal(got, expect)
+
 
 class TestNoise:
     def test_endpoints_exact(self, tiny_schedule):
