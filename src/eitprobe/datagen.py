@@ -13,7 +13,8 @@ width 48 bisection steps would leave.
 
 Measurement noise is zero-mean Gaussian per channel with an SNR that
 falls linearly in dB as the measuring pair moves away from the driving
-pair along the probe surface (azimuth arc combined with ring offset).
+pair along the probe surface (azimuth arc combined with ring offset). No
+noise model (``None``) means noiseless frames.
 
 Datasets are directories: a manifest, one reference frame, and per-sample
 target/voltage/image files, every byte reproducible from the master seed.
@@ -328,25 +329,14 @@ class NoiseModel:
     snr_near_db: float = 50.0
     snr_far_db: float = 10.0
 
-    @property
-    def disabled(self) -> bool:
-        return math.isinf(self.snr_near_db) and math.isinf(self.snr_far_db)
-
     def validate(self) -> None:
-        if self.disabled:
-            return
         if not (math.isfinite(self.snr_near_db) and math.isfinite(self.snr_far_db)):
-            raise ValueError("SNR endpoints must both be finite or both inf")
+            raise ValueError("SNR endpoints must both be finite")
         if not self.snr_near_db > self.snr_far_db:
             raise ValueError("snr_near_db must exceed snr_far_db")
 
-    def to_dict(self) -> dict | None:
-        if self.disabled:
-            return None
+    def to_dict(self) -> dict:
         return {"snr_near_db": self.snr_near_db, "snr_far_db": self.snr_far_db}
-
-
-NOISE_OFF = NoiseModel(math.inf, math.inf)
 
 
 def pair_separations(schedule: MeasurementSchedule) -> np.ndarray:
@@ -385,8 +375,6 @@ def add_noise(frame: VoltageFrame, schedule: MeasurementSchedule,
         raise ProvenanceError("frame does not belong to this schedule")
     if frame.values.shape != (schedule.n_measurements,):
         raise DimensionError("frame length does not match the schedule")
-    if nm.disabled:
-        return frame.copy()
     snr = snr_per_measurement(schedule, nm)
     std = np.abs(frame.values) * 10.0 ** (-snr / 20.0)
     values = frame.values + rng.standard_normal(len(std)) * std
@@ -419,14 +407,16 @@ def reference_frame(mesh: Mesh, schedule: MeasurementSchedule,
 
 def make_sample(index: int, master_seed: int, gen_mesh: Mesh, inv_mesh: Mesh,
                 schedule: MeasurementSchedule, pattern: StimPattern,
-                nm: NoiseModel, rmat: ReconstructionMatrix,
+                nm: NoiseModel | None, rmat: ReconstructionMatrix,
                 bounds: SampleBounds, v_ref: VoltageFrame) -> Sample:
+    """Sample ``index`` of the dataset seeded ``master_seed``; with no noise
+    model its noisy frame is the clean one."""
     rng = np.random.default_rng(master_seed ^ index)
     target = sample_target(rng, gen_mesh.geometry, bounds)
     sigma = rasterize_target(gen_mesh, target)
     system = assemble_system(gen_mesh, sigma)
     v_clean = solve_forward(system, pattern, schedule)
-    v_noisy = add_noise(v_clean, schedule, nm, rng)
+    v_noisy = v_clean if nm is None else add_noise(v_clean, schedule, nm, rng)
     dv = v_noisy.values - v_ref.values
     gn_image = reconstruct_gn(rmat, dv, inv_mesh)
     truth_sigma = rasterize_target(inv_mesh, target)
@@ -450,7 +440,8 @@ def gen_dataset(out_dir: str | Path, n: int, gen_mesh: Mesh, inv_mesh: Mesh,
     """Generate ``n`` samples into a dataset directory; returns the manifest.
 
     The forward problem runs on the generation mesh and the reconstruction
-    on the inverse mesh; running both on one mesh is refused.
+    on the inverse mesh; running both on one mesh is refused. With no
+    ``noise`` model the frames are noiseless and the manifest's noise null.
     """
     if n < 1:
         raise ValueError("dataset needs at least one sample")
@@ -458,8 +449,8 @@ def gen_dataset(out_dir: str | Path, n: int, gen_mesh: Mesh, inv_mesh: Mesh,
         raise ValueError("master_seed must be nonnegative")
     bounds.validate()
     pattern.validate()
-    nm = noise if noise is not None else NOISE_OFF
-    nm.validate()
+    if noise is not None:
+        noise.validate()
     if gen_mesh.mesh_id == inv_mesh.mesh_id:
         raise ProvenanceError(
             "generation and inverse meshes are identical; reconstruction "
@@ -480,7 +471,7 @@ def gen_dataset(out_dir: str | Path, n: int, gen_mesh: Mesh, inv_mesh: Mesh,
     for i in range(n):
         try:
             s = make_sample(i, master_seed, gen_mesh, inv_mesh, schedule,
-                            pattern, nm, rmat, bounds, v_ref)
+                            pattern, noise, rmat, bounds, v_ref)
         except EitProbeError as exc:
             raise type(exc)(f"sample {i}: {exc}") from exc
         rel = _sample_dirname(i)
@@ -505,7 +496,7 @@ def gen_dataset(out_dir: str | Path, n: int, gen_mesh: Mesh, inv_mesh: Mesh,
         "schedule_id": schedule.schedule_id,
         "reconstruction_config_hash": rmat.config_hash,
         "amplitude": pattern.amplitude,
-        "noise": nm.to_dict(),
+        "noise": None if noise is None else noise.to_dict(),
         "bounds": bounds.to_dict(),
         "samples": names,
     }

@@ -141,9 +141,6 @@ class VoltageFrame:
     values: np.ndarray
     schedule_id: str
 
-    def copy(self) -> "VoltageFrame":
-        return VoltageFrame(values=self.values.copy(), schedule_id=self.schedule_id)
-
 
 def check_conductivity(mesh: Mesh, sigma: np.ndarray) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=np.float64)

@@ -18,7 +18,7 @@ SuperLU in symmetric mode with diagonal pivoting.
 Reciprocal twins share a Jacobian row (see ``forward.Jacobian``): U = Ud P'
 with P the measurement-to-row expansion and P'P = C = diag(counts), so
 
-    (U U' + S)^-1 U = S^-1 Ud C^1/2 (I + C^1/2 Ud' S^-1 Ud C^1/2)^-1 C^-1/2 P'
+    (U U' + S)^-1 U = S^-1 Ud (K + C^-1)^-1 C^-1 P',  K = Ud' S^-1 Ud
 
 where P' folds the measurements, summing twins onto their row. So R and
 the dense block are sized by the distinct rows, 464 for the adjacent
@@ -109,9 +109,9 @@ def build_reconstruction_matrix(jac: Jacobian, mesh: Mesh,
 
 def _build(jac: Jacobian, mesh: Mesh, cfg: GnConfig,
            avg: csr_matrix) -> ReconstructionMatrix:
-    """R = avg V^-1 W C^1/2 (I + C^1/2 U' W C^1/2)^-1 C^-1/2 / scale on the
-    distinct rows, with U = (J V^-1 / scale)', W = S^-1 U, V = diag(volumes)
-    and C = diag(counts). U and W are formed one column block at a time."""
+    """R = avg V^-1 W (U' W + C^-1)^-1 C^-1 / scale on the distinct rows,
+    with U = (J V^-1 / scale)', W = S^-1 U, V = diag(volumes) and
+    C = diag(counts). U and W are formed one column block at a time."""
     cfg.validate()
     if jac.mesh_id != mesh.mesh_id:
         raise ProvenanceError("Jacobian was computed on a different mesh")
@@ -137,10 +137,9 @@ def _build(jac: Jacobian, mesh: Mesh, cfg: GnConfig,
         w /= unscale[:, None]
         k[:, b] = jmat @ w
         z[:, b] = avg @ w
-    root = np.sqrt(jac.counts)
-    # halving is exact and r_i r_j = r_j r_i, so g is exactly symmetric
-    g = (k + k.T) * np.outer(0.5 * root, root)
-    g.flat[::n_rows + 1] += 1.0
+    # halving is exact, so g is exactly symmetric
+    g = (k + k.T) * 0.5
+    g.flat[::n_rows + 1] += 1.0 / jac.counts
     try:
         # g.T is g, Fortran-ordered: the factorization overwrites it in place
         cho = cho_factor(g.T, lower=True, overwrite_a=True)
@@ -148,9 +147,8 @@ def _build(jac: Jacobian, mesh: Mesh, cfg: GnConfig,
         raise IllConditionedError(
             f"regularized normal matrix is not positive definite: {exc}") from exc
     # z.T is Fortran-ordered, so the solve overwrites it in place
-    z *= root
     r = cho_solve(cho, z.T, overwrite_b=True).T
-    r /= root
+    r /= jac.counts
     if not np.all(np.isfinite(r)):
         raise IllConditionedError("reconstruction matrix has non-finite entries")
     return ReconstructionMatrix(matrix=r, row_index=jac.row_index,

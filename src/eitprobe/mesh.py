@@ -565,7 +565,7 @@ def build_mesh(geom: TankGeometry, density: RefinementSpec) -> Mesh:
     vol = _signed_volumes(nodes, tets)
     neg = vol < 0
     tets[neg] = tets[neg][:, [0, 1, 3, 2]]
-    if np.any(np.abs(_signed_volumes(nodes, tets)) < 1e-14):
+    if np.any(np.abs(vol) < 1e-14):
         raise MeshingError("degenerate (zero-volume) element produced")
     tets = np.ascontiguousarray(tets, dtype=np.int32)
 

@@ -158,7 +158,8 @@ def _solve(jac: Jacobian, scale: float, lop: csr_matrix, data: np.ndarray,
 
         s = 1.0
         for shrinks in range(_MAX_SHRINKS + 1):
-            if objective(resid + s * q, t + s * ld) <= f_cur + _ARMIJO_C * s * gdot:
+            f_new = objective(resid + s * q, t + s * ld)
+            if f_new <= f_cur + _ARMIJO_C * s * gdot:
                 break
             s *= _SHRINK
         else:
@@ -178,7 +179,6 @@ def _solve(jac: Jacobian, scale: float, lop: csr_matrix, data: np.ndarray,
             raise LineSearchError("dual step left the feasible box |y| <= 1")
         np.clip(y, -1.0, 1.0, out=y)
 
-        f_new = objective(resid, t + s * ld)
         trace.objective.append(float(f_new))
         trace.dual_max.append(float(np.abs(y).max()))
         trace.cg_iters.append(cg_iters)

@@ -4,7 +4,8 @@ Two usage modes share one architecture: ``direct`` maps the 928 measured
 voltage differences straight to a nodal image; ``postproc`` maps a linear
 reconstruction to a cleaned-up nodal image. Hidden units are Gaussians on
 k-means centers of the normalized training inputs; the output layer is
-solved in closed form by ridge least squares, so training is deterministic.
+solved in closed form by ridge least squares in target units, so training
+is deterministic.
 Rounds sweep the spread over a short ladder around its base value and the
 round with the lowest validation error is kept.
 """
@@ -56,17 +57,18 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class RbfModel:
-    """Trained network plus the affine normalizations baked in at fit time."""
+    """Trained network plus the input z-scoring baked in at fit time. Only
+    the inputs are normalized: the output layer is fitted in target units,
+    so a prediction is ``h @ output_weights + output_bias`` for the hidden
+    activations ``h``."""
 
     mode: str
     centers: np.ndarray         # (hidden, input_dim), normalized input space
     spread: float
-    output_weights: np.ndarray  # (output_dim, hidden)
+    output_weights: np.ndarray  # (hidden, output_dim)
     output_bias: np.ndarray     # (output_dim,)
     input_mean: np.ndarray
     input_scale: np.ndarray
-    output_lo: float
-    output_hi: float
     mesh_id: str
     schedule_id: str
 
@@ -156,18 +158,21 @@ def _design(xn: np.ndarray, centers: np.ndarray, spread: float) -> np.ndarray:
     return np.exp(_sq_distances(xn, centers) / (-2.0 * spread * spread))
 
 
-def _solve_output_layer(h: np.ndarray, tn: np.ndarray, ridge: float):
+def _solve_output_layer(h: np.ndarray, t: np.ndarray, ridge: float):
+    """Ridge fit of ``h @ weights + bias`` to ``t``. The bias column is not
+    penalized, so targets a t + b (a > 0) give exactly a weights and
+    a bias + b: the targets need no rescaling."""
     a = np.hstack([h, np.ones((h.shape[0], 1))])
     gram = a.T @ a
     idx = np.arange(h.shape[1])
-    gram[idx, idx] += ridge  # bias column stays unpenalized
+    gram[idx, idx] += ridge
     try:
         cho = cho_factor(gram, lower=True)
     except np.linalg.LinAlgError as exc:
         raise SingularGramError(
             f"activation gram matrix is rank deficient (raise ridge): {exc}"
         ) from exc
-    theta = cho_solve(cho, a.T @ tn)
+    theta = cho_solve(cho, a.T @ t)
     return theta[:-1], theta[-1]
 
 
@@ -204,11 +209,7 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
     sd = np.where(sd > 0, sd, 1.0)
     xn_tr = (x_tr - mu) / sd
     xn_val = (inputs[val_idx] - mu) / sd
-    lo = float(targets[train_idx].min())
-    hi = float(targets[train_idx].max())
-    span = hi - lo if hi > lo else 1.0
-    tn_tr = (targets[train_idx] - lo) / span
-    tn_val = (targets[val_idx] - lo) / span
+    t_tr, t_val = targets[train_idx], targets[val_idx]
 
     centers = _kmeans(xn_tr, cfg.hidden_count, rng)
     base = cfg.spread if cfg.spread is not None else _median_pairwise(xn_tr)
@@ -220,9 +221,9 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
     for mult in _spread_ladder(cfg.max_rounds):
         spread = base * mult
         h_tr = _design(xn_tr, centers, spread)
-        weights, bias = _solve_output_layer(h_tr, tn_tr, cfg.ridge)
+        weights, bias = _solve_output_layer(h_tr, t_tr, cfg.ridge)
         h_val = _design(xn_val, centers, spread)
-        mse_val = float(np.mean((h_val @ weights + bias - tn_val) ** 2)) * span ** 2
+        mse_val = float(np.mean((h_val @ weights + bias - t_val) ** 2))
         trace.spreads.append(spread)
         trace.val_mse.append(mse_val)
         if mse_val < best_val:
@@ -237,15 +238,14 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
 
     spread, weights, bias = best
     model = RbfModel(mode=mode, centers=centers, spread=spread,
-                     output_weights=np.ascontiguousarray(weights.T),
-                     output_bias=bias, input_mean=mu, input_scale=sd,
-                     output_lo=lo, output_hi=hi,
+                     output_weights=weights, output_bias=bias,
+                     input_mean=mu, input_scale=sd,
                      mesh_id=mesh_id, schedule_id=schedule_id)
     return model, trace
 
 
 def predict(model: RbfModel, inputs: np.ndarray, mesh: Mesh) -> np.ndarray:
-    """Denormalized nodal image(s) for one input vector or a batch."""
+    """Nodal image(s) for one input vector or a batch."""
     if mesh.mesh_id != model.mesh_id:
         raise ProvenanceError("model was trained for a different mesh")
     if model.output_dim != mesh.n_nodes:
@@ -257,9 +257,6 @@ def predict(model: RbfModel, inputs: np.ndarray, mesh: Mesh) -> np.ndarray:
         raise DimensionError(
             f"expected {model.input_dim} inputs, got {x.shape[-1]}")
     xn = (x - model.input_mean) / model.input_scale
-    h = _design(xn, model.centers, model.spread)
-    span = model.output_hi - model.output_lo
-    if span <= 0:
-        span = 1.0
-    out = (h @ model.output_weights.T + model.output_bias) * span + model.output_lo
+    out = _design(xn, model.centers, model.spread) @ model.output_weights
+    out += model.output_bias
     return out[0] if single else out

@@ -10,7 +10,7 @@ from scipy.spatial.transform import Rotation
 from scipy.stats import kstest
 
 from eitprobe import datagen
-from eitprobe.datagen import (NOISE_OFF, NoiseModel, SampleBounds, TargetSpec,
+from eitprobe.datagen import (NoiseModel, SampleBounds, TargetSpec,
                               add_noise, gen_dataset, load_manifest,
                               load_training_arrays, make_sample,
                               pair_separations, rasterize_target,
@@ -289,15 +289,6 @@ class TestNoise:
         order = np.argsort(sep)
         assert np.all(np.diff(snr[order]) <= 1e-12)
 
-    def test_disabled_copies_frame(self, tiny_schedule):
-        rng = np.random.default_rng(0)
-        frame = VoltageFrame(values=rng.normal(size=tiny_schedule.n_measurements),
-                             schedule_id=tiny_schedule.schedule_id)
-        out = add_noise(frame, tiny_schedule, NOISE_OFF, rng)
-        assert out is not frame
-        assert out.values is not frame.values
-        assert np.array_equal(out.values, frame.values)
-
     def test_deterministic(self, tiny_schedule):
         vals = 1e-5 * np.random.default_rng(1).uniform(0.5, 2.0,
                                                        tiny_schedule.n_measurements)
@@ -345,6 +336,8 @@ class TestNoise:
             NoiseModel(10.0, 50.0).validate()
         with pytest.raises(ValueError):
             NoiseModel(math.inf, 10.0).validate()
+        with pytest.raises(ValueError):
+            NoiseModel(math.inf, math.inf).validate()
         frame = VoltageFrame(values=np.zeros(tiny_schedule.n_measurements),
                              schedule_id="elsewhere")
         with pytest.raises(ProvenanceError):
@@ -380,7 +373,7 @@ class TestDataset:
                                 TINY_BOUNDS.sigma_bg)
         for i, rel in enumerate(manifest["samples"]):
             s = make_sample(i, 1, tiny_mesh_alt, tiny_mesh, tiny_schedule,
-                            pattern, NOISE_OFF, tiny_rmat, TINY_BOUNDS, v_ref)
+                            pattern, None, tiny_rmat, TINY_BOUNDS, v_ref)
             assert np.array_equal(s.v_noisy.values, s.v_clean.values)
             write_frame_csv(s.v_clean, tiny_schedule, tmp_path / "clean.csv")
             assert ((root / rel / "v_noisy.csv").read_bytes()

@@ -166,11 +166,27 @@ class TestTraining:
         cfg = TrainConfig(hidden_count=8, seed=6, max_rounds=1)
         model, _ = train(inputs, targets, cfg, "postproc", "m", "s")
         _, train_idx = _split_indices(30, cfg)
-        x_tr, t_tr = inputs[train_idx], targets[train_idx]
+        x_tr = inputs[train_idx]
         assert np.allclose(model.input_mean, x_tr.mean(axis=0), atol=1e-12)
         assert np.allclose(model.input_scale, x_tr.std(axis=0), atol=1e-12)
-        assert model.output_lo == t_tr.min()
-        assert model.output_hi == t_tr.max()
+
+    def test_fit_is_affine_equivariant(self):
+        # the unpenalized bias makes ridge least squares commute with an
+        # affine map of the targets, so no target rescaling is needed
+        rng = np.random.default_rng(20)  # selects round 2 of 5
+        inputs = rng.normal(size=(40, 6))
+        targets = np.tanh(inputs @ rng.normal(size=(6, 4)))
+        cfg = TrainConfig(hidden_count=12, seed=2, max_rounds=5, patience=5)
+        m1, tr1 = train(inputs, targets, cfg, "postproc", "m", "s")
+        m2, tr2 = train(inputs, 7.5 * targets - 0.3, cfg, "postproc", "m", "s")
+        assert tr1.spreads == tr2.spreads
+        assert tr1.selected_round == tr2.selected_round
+        assert np.allclose(56.25 * np.array(tr1.val_mse), tr2.val_mse,
+                           rtol=1e-9, atol=0.0)
+        mesh = SimpleNamespace(mesh_id="m", n_nodes=4)
+        probe = rng.normal(size=(15, 6))
+        p1, p2 = predict(m1, probe, mesh), predict(m2, probe, mesh)
+        assert np.max(np.abs(p2 - (7.5 * p1 - 0.3))) <= 1e-9 * np.max(np.abs(p2))
 
     def test_zero_targets_give_zero_weights(self):
         rng = np.random.default_rng(3)
@@ -248,8 +264,7 @@ class TestPredict:
         # max slope exp(-1/2)/spread in normalized coordinates
         inputs, _ = memo_data
         model, _ = memo_model
-        span = model.output_hi - model.output_lo
-        k = (span * np.linalg.norm(model.output_weights)
+        k = (np.linalg.norm(model.output_weights)
              * math.sqrt(model.hidden_count) * math.exp(-0.5) / model.spread
              * float(np.max(1.0 / model.input_scale)))
         rng = np.random.default_rng(40)
