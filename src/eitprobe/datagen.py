@@ -16,8 +16,9 @@ falls linearly in dB as the measuring pair moves away from the driving
 pair along the probe surface (azimuth arc combined with ring offset). No
 noise model (``None``) means noiseless frames.
 
-Datasets are directories: a manifest, one reference frame, and per-sample
-target/voltage/image files, every byte reproducible from the master seed.
+Datasets are directories: a manifest listing the targets, ``v_ref.csv``, and
+per sample the raw float64 vectors ``dv.f64``, ``gn_image.f64`` and
+``truth.f64``, every byte reproducible from the master seed.
 Sample index ``i`` draws from an independent stream seeded with
 ``master_seed ^ i`` so generation order can never change the output.
 """
@@ -35,7 +36,7 @@ from scipy.spatial.transform import Rotation
 from .errors import DimensionError, EitProbeError, ProvenanceError
 from .forward import (MeasurementSchedule, StimPattern, VoltageFrame,
                       assemble_system, homogeneous_field, solve_forward,
-                      write_frame_csv, read_frame_csv)
+                      write_frame_csv)
 from .gn import ReconstructionMatrix, element_to_nodal, reconstruct_gn
 from .ioutil import canonical_json_bytes, read_f64, write_f64
 from .mesh import Mesh, TankGeometry
@@ -45,7 +46,7 @@ DEFAULT_SIGMA_IN = 0.3
 DEFAULT_SIGMA_BG = 0.15
 
 DATASET_FORMAT = "eitprobe-dataset"
-DATASET_VERSION = 1
+DATASET_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -61,12 +62,14 @@ class TargetSpec:
     def validate(self) -> None:
         if len(self.center) != 3 or len(self.semi_axes) != 3:
             raise ValueError("center and semi_axes must be 3-vectors")
+        if not all(map(math.isfinite, (*self.center, *self.quat))):
+            raise ValueError("center and quat must be finite")
         if not all(a > 0 and math.isfinite(a) for a in self.semi_axes):
             raise ValueError("semi-axes must be positive and finite")
         if len(self.quat) != 4 or abs(sum(q * q for q in self.quat) - 1.0) > 1e-9:
             raise ValueError("quat must be a unit quaternion (x, y, z, w)")
-        if not (self.sigma_in > 0 and self.sigma_bg > 0):
-            raise ValueError("conductivities must be positive")
+        if not (0 < self.sigma_in < math.inf and 0 < self.sigma_bg < math.inf):
+            raise ValueError("conductivities must be positive and finite")
 
     def rotation_matrix(self) -> np.ndarray:
         return Rotation.from_quat(self.quat).as_matrix()
@@ -112,12 +115,12 @@ class SampleBounds:
     sigma_bg: float = DEFAULT_SIGMA_BG
 
     def validate(self) -> None:
-        if not self.max_distance > 0:
-            raise ValueError("max_distance must be positive")
-        if self.z_band < 0:
-            raise ValueError("z_band must be nonnegative")
-        if not all(a > 0 for a in self.semi_axes):
-            raise ValueError("semi-axes must be positive")
+        if not 0 < self.max_distance < math.inf:
+            raise ValueError("max_distance must be positive and finite")
+        if not 0 <= self.z_band < math.inf:
+            raise ValueError("z_band must be nonnegative and finite")
+        if not all(0 < a < math.inf for a in self.semi_axes):
+            raise ValueError("semi-axes must be positive and finite")
 
     def to_dict(self) -> dict:
         return {
@@ -389,7 +392,6 @@ class Sample:
     """One generated case: ground truth on the generation mesh, voltages,
     and the linear reconstruction on the inverse mesh."""
 
-    index: int
     target: TargetSpec
     distance: float
     v_clean: VoltageFrame
@@ -422,7 +424,7 @@ def make_sample(index: int, master_seed: int, gen_mesh: Mesh, inv_mesh: Mesh,
     truth_sigma = rasterize_target(inv_mesh, target)
     truth_nodal = element_to_nodal(truth_sigma - target.sigma_bg, inv_mesh)
     distance = target_probe_distance(target, gen_mesh.geometry)
-    return Sample(index=index, target=target, distance=distance,
+    return Sample(target=target, distance=distance,
                   v_clean=v_clean, v_noisy=v_noisy, gn_image=gn_image,
                   truth_nodal=truth_nodal)
 
@@ -442,6 +444,8 @@ def gen_dataset(out_dir: str | Path, n: int, gen_mesh: Mesh, inv_mesh: Mesh,
     The forward problem runs on the generation mesh and the reconstruction
     on the inverse mesh; running both on one mesh is refused. With no
     ``noise`` model the frames are noiseless and the manifest's noise null.
+    Files are written in the order ``v_ref.csv``, per sample ``dv.f64``,
+    ``gn_image.f64``, ``truth.f64``, and ``manifest.json``.
     """
     if n < 1:
         raise ValueError("dataset needs at least one sample")
@@ -467,24 +471,19 @@ def gen_dataset(out_dir: str | Path, n: int, gen_mesh: Mesh, inv_mesh: Mesh,
     v_ref = reference_frame(gen_mesh, schedule, pattern, bounds.sigma_bg)
     write_frame_csv(v_ref, schedule, root / "v_ref.csv")
 
-    names = []
+    targets = []
     for i in range(n):
         try:
             s = make_sample(i, master_seed, gen_mesh, inv_mesh, schedule,
                             pattern, noise, rmat, bounds, v_ref)
         except EitProbeError as exc:
             raise type(exc)(f"sample {i}: {exc}") from exc
-        rel = _sample_dirname(i)
-        sdir = root / rel
+        sdir = root / _sample_dirname(i)
         sdir.mkdir(parents=True, exist_ok=True)
-        doc = s.target.to_dict()
-        doc["distance"] = s.distance
-        doc["index"] = s.index
-        (sdir / "target.json").write_bytes(canonical_json_bytes(doc))
-        write_frame_csv(s.v_noisy, schedule, sdir / "v_noisy.csv")
+        write_f64(sdir / "dv.f64", s.v_noisy.values - v_ref.values)
         write_f64(sdir / "gn_image.f64", s.gn_image)
         write_f64(sdir / "truth.f64", s.truth_nodal)
-        names.append(rel)
+        targets.append({**s.target.to_dict(), "distance": s.distance})
 
     manifest = {
         "format": DATASET_FORMAT,
@@ -498,15 +497,14 @@ def gen_dataset(out_dir: str | Path, n: int, gen_mesh: Mesh, inv_mesh: Mesh,
         "amplitude": pattern.amplitude,
         "noise": None if noise is None else noise.to_dict(),
         "bounds": bounds.to_dict(),
-        "samples": names,
+        "targets": targets,
     }
     (root / "manifest.json").write_bytes(canonical_json_bytes(manifest))
     return manifest
 
 
 def load_manifest(path: str | Path) -> dict:
-    root = Path(path)
-    doc = json.loads((root / "manifest.json").read_bytes())
+    doc = json.loads((Path(path) / "manifest.json").read_bytes())
     if doc.get("format") != DATASET_FORMAT:
         raise ValueError("not a dataset directory")
     if doc.get("version") != DATASET_VERSION:
@@ -526,20 +524,19 @@ class DatasetArrays:
 
 def load_training_arrays(path: str | Path,
                          schedule: MeasurementSchedule) -> DatasetArrays:
-    """Read a dataset directory back into stacked arrays."""
+    """Stack each manifest target's distance and ``.f64`` vectors; a dv must
+    hold ``schedule.n_measurements`` values, an image the first's length."""
     root = Path(path)
     manifest = load_manifest(root)
     if manifest["schedule_id"] != schedule.schedule_id:
         raise ProvenanceError("dataset was generated for another schedule")
-    v_ref = read_frame_csv(root / "v_ref.csv", schedule)
-    dv, gn, truth, dist = [], [], [], []
-    for rel in manifest["samples"]:
-        sdir = root / rel
-        doc = json.loads((sdir / "target.json").read_bytes())
-        v_noisy = read_frame_csv(sdir / "v_noisy.csv", schedule)
-        dv.append(v_noisy.values - v_ref.values)
-        gn.append(read_f64(sdir / "gn_image.f64"))
-        truth.append(read_f64(sdir / "truth.f64"))
-        dist.append(doc["distance"])
-    return DatasetArrays(dv=np.array(dv), gn_images=np.array(gn),
-                         truth=np.array(truth), distances=np.array(dist))
+    samples = [[read_f64(root / _sample_dirname(i) / name)
+                for name in ("dv.f64", "gn_image.f64", "truth.f64")]
+               for i in range(len(manifest["targets"]))]
+    want = [schedule.n_measurements] + 2 * [samples[0][1].size]
+    for i, arrays in enumerate(samples):
+        if (sizes := [a.size for a in arrays]) != want:
+            raise DimensionError(f"{_sample_dirname(i)}: sizes {sizes}, not {want}")
+    dv, gn, truth = (np.array(v) for v in zip(*samples))
+    distances = np.array([t["distance"] for t in manifest["targets"]])
+    return DatasetArrays(dv=dv, gn_images=gn, truth=truth, distances=distances)

@@ -101,12 +101,6 @@ class MeasurementSchedule:
         drive, meas = self.pair_index
         return np.column_stack([drive, self.pairs[meas]])
 
-    @cached_property
-    def _csv_prefixes(self) -> list[str]:
-        """The ``injection,meas_plus,meas_minus,`` start of each row of a
-        frame CSV file."""
-        return [f"{d},{p},{m}," for d, p, m in self.rows.tolist()]
-
 
 def adjacent_schedule(geom: TankGeometry) -> MeasurementSchedule:
     """Build the adjacent-pair schedule for a probe geometry."""
@@ -370,34 +364,10 @@ def write_frame_csv(frame: VoltageFrame, schedule: MeasurementSchedule,
                     path: str | Path) -> None:
     """Write a frame as CSV: the header, then one row per measurement with
     its schedule columns and the shortest repr of its value, CRLF line
-    ends."""
+    ends. A dataset stores its reference frame this way (``v_ref.csv``)."""
     if frame.values.shape[0] != schedule.n_measurements:
         raise DimensionError("frame length does not match schedule")
-    lines = [p + repr(v) for p, v in zip(schedule._csv_prefixes,
-                                         frame.values.tolist())]
+    lines = [f"{d},{p},{m},{v!r}" for (d, p, m), v in
+             zip(schedule.rows.tolist(), frame.values.tolist())]
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join([",".join(FRAME_HEADER), *lines, ""]))
-
-
-def read_frame_csv(path: str | Path, schedule: MeasurementSchedule) -> VoltageFrame:
-    """Read a frame written by ``write_frame_csv``, checking the header, the
-    row count, four fields per row and the schedule columns of every row."""
-    with open(path, newline="") as fh:
-        lines = fh.read().splitlines()
-    header = lines[0].split(",") if lines else []
-    if header != FRAME_HEADER:
-        raise ValueError(f"unexpected frame header {header}")
-    rows = [line.split(",") if line else [] for line in lines[1:]]
-    if len(rows) != schedule.n_measurements:
-        raise DimensionError(
-            f"frame has {len(rows)} rows, schedule expects "
-            f"{schedule.n_measurements}")
-    expect = schedule.rows.tolist()
-    for k, row in enumerate(rows):
-        if len(row) != len(FRAME_HEADER):
-            raise ValueError(f"frame row {k} has {len(row)} fields, "
-                             f"expected {len(FRAME_HEADER)}")
-        if [int(row[0]), int(row[1]), int(row[2])] != expect[k]:
-            raise ValueError(f"frame row {k} does not match the schedule")
-    values = np.array([float(row[3]) for row in rows])
-    return VoltageFrame(values=values, schedule_id=schedule.schedule_id)

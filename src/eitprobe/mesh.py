@@ -53,8 +53,9 @@ class TankGeometry:
     electrode_size: tuple[float, float] = (0.2, 0.2)
 
     def validate(self) -> None:
-        if self.probe_radius <= 0 or self.tank_radius <= 0 or self.tank_height <= 0:
-            raise GeometryError("all lengths must be positive")
+        if not all(0 < v < math.inf for v in (self.probe_radius, self.probe_height,
+                                              self.tank_radius, self.tank_height)):
+            raise GeometryError("all lengths must be positive and finite")
         if self.tank_radius < 20.0 * self.probe_radius:
             raise GeometryError(
                 "tank_radius must be at least 20 probe radii for the open-domain "
@@ -64,8 +65,8 @@ class TankGeometry:
                 "layers * electrodes_per_layer must equal 32 "
                 f"(got {self.layers} * {self.electrodes_per_layer})")
         arc, height = self.electrode_size
-        if arc <= 0 or height <= 0:
-            raise GeometryError("electrode_size components must be positive")
+        if not (arc > 0 and height > 0):
+            raise GeometryError("electrode_size components must be positive and finite")
         sector_arc = 2.0 * math.pi * self.probe_radius / self.electrodes_per_layer
         if arc >= sector_arc:
             raise GeometryError(
@@ -123,12 +124,12 @@ class RefinementSpec:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.near <= 0 or self.far <= 0:
-            raise MeshingError("edge-length targets must be positive")
+        if not (0 < self.near < math.inf and 0 < self.far < math.inf):
+            raise MeshingError("edge-length targets must be positive and finite")
         if self.near > self.far:
             raise MeshingError("near edge target must not exceed far edge target")
-        if self.growth <= 1.0:
-            raise MeshingError("growth must exceed 1")
+        if not 1.0 < self.growth < math.inf:
+            raise MeshingError("growth must exceed 1 and be finite")
         # an unseeded generator would jitter differently on every build
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise MeshingError(

@@ -60,8 +60,8 @@ class GridSpec:
     dims: int = 64
 
     def validate(self) -> None:
-        if not self.half_width > 0:
-            raise ValueError("half_width must be positive")
+        if not 0 < self.half_width < math.inf:
+            raise ValueError("half_width must be positive and finite")
         if self.dims < 8:
             raise ValueError("grid needs at least 8 voxels per axis")
 

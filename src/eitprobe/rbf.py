@@ -45,8 +45,8 @@ class TrainConfig:
         if self.spread is not None and not (self.spread > 0
                                             and math.isfinite(self.spread)):
             raise ValueError("spread must be positive")
-        if self.ridge < 0:
-            raise ValueError("ridge must be nonnegative")
+        if not 0 <= self.ridge < math.inf:
+            raise ValueError("ridge must be nonnegative and finite")
         if not 0 < self.val_fraction < 0.5:
             raise ValueError("val_fraction must lie in (0, 0.5)")
         if self.max_rounds < 1:

@@ -3,6 +3,7 @@ the separation-graded noise model and dataset packaging."""
 
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -10,15 +11,14 @@ from scipy.spatial.transform import Rotation
 from scipy.stats import kstest
 
 from eitprobe import datagen
-from eitprobe.datagen import (NoiseModel, SampleBounds, TargetSpec,
-                              add_noise, gen_dataset, load_manifest,
-                              load_training_arrays, make_sample,
+from eitprobe.datagen import (DATASET_FORMAT, NoiseModel, SampleBounds,
+                              TargetSpec, add_noise, gen_dataset,
+                              load_manifest, load_training_arrays, make_sample,
                               pair_separations, rasterize_target,
                               reference_frame, sample_target,
                               snr_per_measurement, target_probe_distance)
-from eitprobe.errors import ProvenanceError
-from eitprobe.forward import (MeasurementSchedule, StimPattern, VoltageFrame,
-                              write_frame_csv)
+from eitprobe.errors import DimensionError, ProvenanceError
+from eitprobe.forward import MeasurementSchedule, StimPattern, VoltageFrame
 from eitprobe.gn import element_to_nodal
 from eitprobe.mesh import TankGeometry
 from eitprobe.metrics import full_report
@@ -371,13 +371,12 @@ class TestDataset:
         pattern = StimPattern()
         v_ref = reference_frame(tiny_mesh_alt, tiny_schedule, pattern,
                                 TINY_BOUNDS.sigma_bg)
-        for i, rel in enumerate(manifest["samples"]):
+        data = load_training_arrays(root, tiny_schedule)
+        for i in range(2):
             s = make_sample(i, 1, tiny_mesh_alt, tiny_mesh, tiny_schedule,
                             pattern, None, tiny_rmat, TINY_BOUNDS, v_ref)
             assert np.array_equal(s.v_noisy.values, s.v_clean.values)
-            write_frame_csv(s.v_clean, tiny_schedule, tmp_path / "clean.csv")
-            assert ((root / rel / "v_noisy.csv").read_bytes()
-                    == (tmp_path / "clean.csv").read_bytes())
+            assert np.array_equal(data.dv[i], s.v_clean.values - v_ref.values)
 
     def test_inverse_crime_guard(self, tmp_path, tiny_mesh, tiny_schedule,
                                  tiny_rmat):
@@ -404,8 +403,7 @@ class TestDataset:
         wide = big_probe_mesh
         manifest = gen_dataset(tmp_path, 1, wide, tiny_mesh, tiny_schedule,
                                tiny_rmat, bounds=TINY_BOUNDS)
-        doc = json.loads((tmp_path / manifest["samples"][0] / "target.json")
-                         .read_bytes())
+        doc = manifest["targets"][0]
         t = TargetSpec.from_dict(doc)
         truth = element_to_nodal(rasterize_target(wide, t) - t.sigma_bg, wide)
         assert doc["distance"] == full_report(wide, truth, t).distance
@@ -433,12 +431,53 @@ class TestDataset:
 
     def test_target_json_consistent(self, tiny_dataset, tiny_mesh_alt):
         root, manifest = tiny_dataset
-        doc = json.loads((root / manifest["samples"][0] / "target.json")
-                         .read_bytes())
+        doc = manifest["targets"][0]
         t = TargetSpec.from_dict(doc)
         t.validate()
         assert doc["distance"] == pytest.approx(
             target_probe_distance(t, tiny_mesh_alt.geometry), abs=1e-9)
+
+    def test_write_order_and_sample_files(self, tmp_path, tiny_mesh,
+                                          tiny_mesh_alt, tiny_schedule,
+                                          tiny_rmat, monkeypatch):
+        # the benchmark times a sample by the modification times of v_ref.csv
+        # and each sample's truth.f64, so this order is part of the format
+        root = tmp_path / "order"
+        written = []
+
+        def recording(writer, path_arg):
+            def write(*args):
+                written.append(args[path_arg].relative_to(root).as_posix())
+                writer(*args)
+            return write
+
+        monkeypatch.setattr(datagen, "write_f64",
+                            recording(datagen.write_f64, 0))
+        monkeypatch.setattr(datagen, "write_frame_csv",
+                            recording(datagen.write_frame_csv, 2))
+        gen_dataset(root, 2, tiny_mesh_alt, tiny_mesh, tiny_schedule,
+                    tiny_rmat, noise=NoiseModel(), bounds=TINY_BOUNDS)
+        files = ("dv.f64", "gn_image.f64", "truth.f64")
+        assert written == ["v_ref.csv"] + [f"samples/sample_{i:05d}/{f}"
+                                           for i in range(2) for f in files]
+        for i in range(2):
+            sdir = root / "samples" / f"sample_{i:05d}"
+            assert {p.name for p in sdir.iterdir()} == set(files)
+
+    def test_short_dv_names_the_sample(self, tmp_path, tiny_dataset,
+                                       tiny_schedule):
+        root = tmp_path / "copy"
+        shutil.copytree(tiny_dataset[0], root)
+        path = root / "samples" / "sample_00001" / "dv.f64"
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(DimensionError, match="sample_00001"):
+            load_training_arrays(root, tiny_schedule)
+
+    def test_old_version_refused(self, tmp_path, tiny_schedule):
+        (tmp_path / "manifest.json").write_text(
+            json.dumps({"format": DATASET_FORMAT, "version": 1}))
+        with pytest.raises(ValueError, match="unsupported dataset version"):
+            load_training_arrays(tmp_path, tiny_schedule)
 
     def test_load_with_wrong_schedule(self, tiny_dataset, tiny_schedule):
         root, _ = tiny_dataset
