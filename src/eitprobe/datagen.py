@@ -5,11 +5,16 @@ height pick the direction, a uniform edge-to-edge distance picks how far
 the surface sits from the probe, and a uniform random rotation orients
 the body. The edge-to-edge distance between the ellipsoid and the finite
 probe cylinder is computed by alternating projections between the two
-convex bodies. The center radius realizing a requested distance is found
-by Brent's method on the bracket [0, hi], which is sound because the
-distance is convex in the radius and grows with it once the bodies part;
-the kernel's thresholded comparison then settles the radius to within the
-width 48 bisection steps would leave.
+convex bodies, with an Aitken step that jumps ahead along the path when
+its steps shrink geometrically and is kept only when it brings the bodies'
+points closer. Each iterate pairs a point of each body, so the pair gap
+stays an upper bound, and supporting hyperplanes give a lower bound; a
+recorded distance is certified by the two agreeing to 1e-10. The center
+radius realizing a requested distance is found by Brent's method on the
+bracket [0, hi], which is sound because the distance is convex in the
+radius and grows with it once the bodies part; the kernel's thresholded
+comparison then settles the radius to within the width 48 bisection
+steps would leave.
 
 Measurement noise is zero-mean Gaussian per channel with an SNR that
 falls linearly in dB as the measuring pair moves away from the driving
@@ -33,7 +38,8 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .errors import DimensionError, EitProbeError, ProvenanceError
+from .errors import (DimensionError, EitProbeError, ProvenanceError,
+                     SolverError)
 from .forward import (MeasurementSchedule, StimPattern, VoltageFrame,
                       assemble_system, homogeneous_field, solve_forward,
                       write_frame_csv)
@@ -132,17 +138,45 @@ class SampleBounds:
         }
 
 
-def _edge_distance(rot: np.ndarray, center, semi_axes, radius: float,
-                   half_h: float, threshold: float | None = None) -> float:
-    """Alternating-projection distance kernel between an ellipsoid and the
-    solid finite cylinder.
+# the kernel's certification width and its iteration cap
+_EDGE_TOL = 1e-10
+_EDGE_ITERS = 3000
+# an extrapolation is tried when the last two displacements of the
+# ellipsoid point have a cosine above _AITKEN_COS; its step is capped at
+# _AITKEN_MAX displacements
+_AITKEN_COS = 0.99
+_AITKEN_MAX = 1000.0
 
-    The pair gap is an upper bound on the true distance and the supporting
-    hyperplane along the pair direction gives a lower bound; iteration
-    stops when they agree to 1e-10. With ``threshold`` set, the loop also
-    exits as soon as the bounds settle which side of the threshold the
-    distance falls on, so comparing the result against the threshold stays
-    exact while far-from-threshold queries return after a few steps.
+
+def _edge_bounds(rot: np.ndarray, center, semi_axes, radius: float,
+                 half_h: float, threshold: float | None = None) -> tuple:
+    """Extrapolated alternating projections between an ellipsoid and the
+    solid finite cylinder; returns ``(lower, upper, iterations)``.
+
+    Each iteration projects the cylinder point onto the ellipsoid and that
+    point back onto the cylinder. The pair gap is an upper bound on the
+    distance. The supporting hyperplanes of the two bodies normal to the
+    pair direction give a lower bound, and so do those normal to its
+    horizontal part while the cylinder point lies on the barrel, where the
+    cylinder's support function has a kink. Iteration stops when the bounds
+    agree to ``_EDGE_TOL``, or after ``_EDGE_ITERS`` iterations with the
+    bounds further apart. With ``threshold`` set, the loop also exits as
+    soon as the bounds settle which side of the threshold the distance
+    falls on.
+
+    Near a tangential touch plain alternating projections creep along a
+    nearly straight path with a step ratio close to one (Bauschke &
+    Borwein, *SIAM Review* 38(3), 1996). When the last two displacements
+    of the ellipsoid point are nearly parallel and shrinking by a ratio
+    rho < 1, an Aitken step jumps rho/(1 - rho) displacements further
+    along the path, the sum of its geometric tail, and projects the result
+    back onto the ellipsoid (Gearhart & Koshy, *J. Comput. Appl. Math.*
+    26(3), 1989). The jump is kept only if the new point lies closer to the
+    cylinder than the plain one. Every iterate is thus a point of the
+    ellipsoid paired with a point of the cylinder, so the gap stays an
+    upper bound; and the support-function bound holds along any direction,
+    so the lower bound stays rigorous too. ``iterations`` counts the
+    projection pairs, not the trial jumps.
     """
     r00, r01, r02 = rot[0]
     r10, r11, r12 = rot[1]
@@ -151,26 +185,21 @@ def _edge_distance(rot: np.ndarray, center, semi_axes, radius: float,
     a0, a1, a2 = (float(v) for v in semi_axes)
     a0s, a1s, a2s = a0 * a0, a1 * a1, a2 * a2
 
-    px, py, pz = cx, cy, cz
-    best_lo = -math.inf
-    gap = math.inf
-    for _ in range(3000):
-        # closest point of the solid cylinder (disk x interval splits
-        # per component)
-        rho = math.hypot(px, py)
+    def to_cylinder(x, y, z):
+        # the disk x interval splits per component
+        rho = math.hypot(x, y)
         scale = radius / rho if rho > radius else 1.0
-        qx, qy, qz = px * scale, py * scale, min(max(pz, -half_h), half_h)
+        return x * scale, y * scale, min(max(z, -half_h), half_h)
 
-        # closest point of the solid ellipsoid, in its body frame
-        dx, dy, dz = qx - cx, qy - cy, qz - cz
+    def to_ellipsoid(x, y, z):
+        # in the body frame the closest point is w_i a_i^2/(a_i^2 + s); the
+        # multiplier equation is smooth, convex and decreasing, so Newton
+        # from s = 0 is monotone, and a point inside stays where it is
+        dx, dy, dz = x - cx, y - cy, z - cz
         wx = r00 * dx + r10 * dy + r20 * dz
         wy = r01 * dx + r11 * dy + r21 * dz
         wz = r02 * dx + r12 * dy + r22 * dz
-        if (wx / a0) ** 2 + (wy / a1) ** 2 + (wz / a2) ** 2 <= 1.0:
-            return 0.0  # a cylinder point lies inside the target
         t0, t1, t2 = wx * wx * a0s, wy * wy * a1s, wz * wz * a2s
-        # KKT point x_i = w_i a_i^2/(a_i^2 + s); the multiplier equation is
-        # smooth, convex and decreasing, so Newton from s = 0 is monotone
         s = 0.0
         for _ in range(100):
             d0, d1, d2 = a0s + s, a1s + s, a2s + s
@@ -182,37 +211,84 @@ def _edge_distance(rot: np.ndarray, center, semi_axes, radius: float,
         bx = wx * a0s / (a0s + s)
         by = wy * a1s / (a1s + s)
         bz = wz * a2s / (a2s + s)
-        px = cx + r00 * bx + r01 * by + r02 * bz
-        py = cy + r10 * bx + r11 * by + r12 * bz
-        pz = cz + r20 * bx + r21 * by + r22 * bz
+        return (cx + r00 * bx + r01 * by + r02 * bz,
+                cy + r10 * bx + r11 * by + r12 * bz,
+                cz + r20 * bx + r21 * by + r22 * bz)
 
-        gx, gy, gz = px - qx, py - qy, pz - qz
-        gap = math.sqrt(gx * gx + gy * gy + gz * gz)
-        if gap < 1e-12:
-            return 0.0
-        nx, ny, nz = gx / gap, gy / gap, gz / gap
-        # support of the cylinder along n and of the ellipsoid along -n
+    def lower(nx, ny, nz):
+        # support of the ellipsoid along -n less that of the cylinder along n
         sup_cyl = radius * math.hypot(nx, ny) + half_h * abs(nz)
         ux = r00 * nx + r10 * ny + r20 * nz
         uy = r01 * nx + r11 * ny + r21 * nz
         uz = r02 * nx + r12 * ny + r22 * nz
         min_ell = (nx * cx + ny * cy + nz * cz
                    - math.sqrt((a0 * ux) ** 2 + (a1 * uy) ** 2 + (a2 * uz) ** 2))
-        best_lo = max(best_lo, min_ell - sup_cyl)
-        if gap - best_lo <= 1e-10:
+        return min_ell - sup_cyl
+
+    px, py, pz = cx, cy, cz
+    qx, qy, qz = to_cylinder(px, py, pz)
+    ex = ey = ez = 0.0          # the previous displacement of p
+    best_lo = -math.inf
+    for it in range(1, _EDGE_ITERS + 1):
+        bx, by, bz = to_ellipsoid(qx, qy, qz)
+        gx, gy, gz = bx - qx, by - qy, bz - qz
+        gap = math.sqrt(gx * gx + gy * gy + gz * gz)
+        if gap < 1e-12:
+            # the projection left a cylinder point in the target where it was
+            return 0.0, 0.0, it
+        nx, ny, nz = gx / gap, gy / gap, gz / gap
+        best_lo = max(best_lo, lower(nx, ny, nz))
+        flat = math.hypot(nx, ny)
+        if abs(qz) < half_h and 0.0 < flat < 1.0:
+            # q is on the barrel, where the cylinder's support has a kink at
+            # n_z = 0: a pair direction tilted by t loses about half_h * t
+            # of the bound, its horizontal part only second order in t
+            best_lo = max(best_lo, lower(nx / flat, ny / flat, 0.0))
+        if gap - best_lo <= _EDGE_TOL:
             break
         if threshold is not None and (gap < threshold or best_lo > threshold):
             break
-    return 0.0 if gap < 1e-12 else gap
+
+        sx, sy, sz = to_cylinder(bx, by, bz)
+        dx, dy, dz = bx - px, by - py, bz - pz
+        dd = dx * dx + dy * dy + dz * dz
+        de = dx * ex + dy * ey + dz * ez
+        ee = ex * ex + ey * ey + ez * ez
+        # cosine above _AITKEN_COS and ratio below one, free of divisions
+        if de > 0.0 and dd < ee and de * de > _AITKEN_COS ** 2 * dd * ee:
+            ratio = math.sqrt(dd / ee)
+            k = min(ratio / (1.0 - ratio), _AITKEN_MAX)
+            jx, jy, jz = to_ellipsoid(bx + k * dx, by + k * dy, bz + k * dz)
+            vx, vy, vz = to_cylinder(jx, jy, jz)
+            if ((jx - vx) ** 2 + (jy - vy) ** 2 + (jz - vz) ** 2
+                    < (bx - sx) ** 2 + (by - sy) ** 2 + (bz - sz) ** 2):
+                bx, by, bz, sx, sy, sz = jx, jy, jz, vx, vy, vz
+        ex, ey, ez = dx, dy, dz
+        px, py, pz, qx, qy, qz = bx, by, bz, sx, sy, sz
+    return best_lo, gap, it
+
+
+def _edge_distance(rot: np.ndarray, center, semi_axes, radius: float,
+                   half_h: float, threshold: float | None = None) -> float:
+    """Upper bound of ``_edge_bounds``: the distance to within 1e-10 once
+    the bounds meet, zero for overlapping bodies. With ``threshold`` set,
+    comparing the result against the threshold stays exact while
+    far-from-threshold queries return after a few steps."""
+    return _edge_bounds(rot, center, semi_axes, radius, half_h, threshold)[1]
 
 
 def target_probe_distance(target: TargetSpec, geom: TankGeometry) -> float:
     """Edge-to-edge distance between the target ellipsoid and the probe
     cylinder of ``geom``, accurate to 1e-10; overlapping bodies report
-    zero."""
-    return _edge_distance(target.rotation_matrix(), target.center,
-                          target.semi_axes, geom.probe_radius,
-                          geom.probe_height / 2.0)
+    zero. A distance the kernel cannot certify within its iteration cap
+    raises ``SolverError`` rather than being recorded."""
+    lo, hi, iters = _edge_bounds(target.rotation_matrix(), target.center,
+                                 target.semi_axes, geom.probe_radius,
+                                 geom.probe_height / 2.0)
+    if hi - lo > _EDGE_TOL:
+        raise SolverError(f"probe distance not certified after {iters} "
+                          f"iterations: bounds [{lo!r}, {hi!r}]")
+    return hi
 
 
 def _brent(f, lo: float, hi: float, flo: float, fhi: float,

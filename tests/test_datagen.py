@@ -17,7 +17,7 @@ from eitprobe.datagen import (DATASET_FORMAT, NoiseModel, SampleBounds,
                               pair_separations, rasterize_target,
                               reference_frame, sample_target,
                               snr_per_measurement, target_probe_distance)
-from eitprobe.errors import DimensionError, ProvenanceError
+from eitprobe.errors import DimensionError, ProvenanceError, SolverError
 from eitprobe.forward import MeasurementSchedule, StimPattern, VoltageFrame
 from eitprobe.gn import element_to_nodal
 from eitprobe.mesh import TankGeometry
@@ -30,7 +30,14 @@ TINY_BOUNDS = SampleBounds(max_distance=3.0, semi_axes=(1.0, 1.5, 2.0))
 
 
 @pytest.fixture(scope="module")
-def draws():
+def kernel_iterations():
+    """Projection iterations of every distance-kernel call ``draws`` made,
+    its placements' and its recorded distances'."""
+    return []
+
+
+@pytest.fixture(scope="module")
+def draws(kernel_iterations):
     """1,000 default targets and their distances, plus every placement
     (the arguments and result of ``_place_radius``) and the number of
     distance-kernel calls the placements made."""
@@ -49,12 +56,20 @@ def draws():
         calls += 1
         return kernel(*args, **kwargs)
 
+    def edge_bounds(*args, **kwargs):
+        result = bounds_kernel(*args, **kwargs)
+        kernel_iterations.append(result[2])
+        return result
+
     place_radius, kernel = datagen._place_radius, datagen._edge_distance
+    bounds_kernel = datagen._edge_bounds
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(datagen, "_place_radius", place)
-        mp.setattr(datagen, "_edge_distance", edge_distance)
-        targets = [sample_target(rng, GEOM, bounds) for _ in range(1000)]
-    dist = np.array([target_probe_distance(t, GEOM) for t in targets])
+        mp.setattr(datagen, "_edge_bounds", edge_bounds)
+        with pytest.MonkeyPatch.context() as placing:
+            placing.setattr(datagen, "_place_radius", place)
+            placing.setattr(datagen, "_edge_distance", edge_distance)
+            targets = [sample_target(rng, GEOM, bounds) for _ in range(1000)]
+        dist = np.array([target_probe_distance(t, GEOM) for t in targets])
     return targets, dist, placements, calls
 
 
@@ -90,6 +105,97 @@ def _fibonacci_sphere(n):
     z = 1 - 2 * i / n
     r = np.sqrt(1 - z * z)
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+
+
+def _plain_projection_bounds(rot, center, semi_axes, radius, half_h):
+    """Plain alternating projections between the ellipsoid and the solid
+    cylinder, with no extrapolation: the oracle for ``datagen._edge_bounds``.
+    Returns (lower, upper) bounds on the distance, (0, 0) for bodies that
+    overlap; they agree to 1e-10 unless 3,000 iterations run out."""
+    r00, r01, r02 = rot[0]
+    r10, r11, r12 = rot[1]
+    r20, r21, r22 = rot[2]
+    cx, cy, cz = (float(v) for v in center)
+    a0, a1, a2 = (float(v) for v in semi_axes)
+    a0s, a1s, a2s = a0 * a0, a1 * a1, a2 * a2
+    px, py, pz = cx, cy, cz
+    best_lo = -math.inf
+    gap = math.inf
+    for _ in range(3000):
+        rho = math.hypot(px, py)
+        scale = radius / rho if rho > radius else 1.0
+        qx, qy, qz = px * scale, py * scale, min(max(pz, -half_h), half_h)
+        dx, dy, dz = qx - cx, qy - cy, qz - cz
+        wx = r00 * dx + r10 * dy + r20 * dz
+        wy = r01 * dx + r11 * dy + r21 * dz
+        wz = r02 * dx + r12 * dy + r22 * dz
+        if (wx / a0) ** 2 + (wy / a1) ** 2 + (wz / a2) ** 2 <= 1.0:
+            return 0.0, 0.0
+        t0, t1, t2 = wx * wx * a0s, wy * wy * a1s, wz * wz * a2s
+        s = 0.0
+        for _ in range(100):
+            d0, d1, d2 = a0s + s, a1s + s, a2s + s
+            f = t0 / (d0 * d0) + t1 / (d1 * d1) + t2 / (d2 * d2) - 1.0
+            if f < 1e-14:
+                break
+            fp = -2.0 * (t0 / d0 ** 3 + t1 / d1 ** 3 + t2 / d2 ** 3)
+            s -= f / fp
+        bx = wx * a0s / (a0s + s)
+        by = wy * a1s / (a1s + s)
+        bz = wz * a2s / (a2s + s)
+        px = cx + r00 * bx + r01 * by + r02 * bz
+        py = cy + r10 * bx + r11 * by + r12 * bz
+        pz = cz + r20 * bx + r21 * by + r22 * bz
+        gx, gy, gz = px - qx, py - qy, pz - qz
+        gap = math.sqrt(gx * gx + gy * gy + gz * gz)
+        if gap < 1e-12:
+            return 0.0, 0.0
+        nx, ny, nz = gx / gap, gy / gap, gz / gap
+        sup_cyl = radius * math.hypot(nx, ny) + half_h * abs(nz)
+        ux = r00 * nx + r10 * ny + r20 * nz
+        uy = r01 * nx + r11 * ny + r21 * nz
+        uz = r02 * nx + r12 * ny + r22 * nz
+        min_ell = (nx * cx + ny * cy + nz * cz
+                   - math.sqrt((a0 * ux) ** 2 + (a1 * uy) ** 2 + (a2 * uz) ** 2))
+        best_lo = max(best_lo, min_ell - sup_cyl)
+        if gap - best_lo <= 1e-10:
+            break
+    return best_lo, gap
+
+
+def _kernel_configs(n, seed):
+    """``n`` random ellipsoid/probe configurations (rotation, center,
+    semi-axes, probe radius, probe half-height) with their oracle bounds.
+    Three in four lie where they fall, overlapping or apart; every fourth
+    starts clear of the probe and is pulled in along the horizontal ray to
+    a random gap of at most 0.08. Each pull step moves the center by the
+    lower bound of ``_edge_bounds`` less that gap, so the distance never
+    drops below it."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        radius, half_h = rng.uniform(0.5, 2.0), rng.uniform(0.5, 4.0)
+        axes = tuple(rng.uniform(0.3, 10.0, size=3))
+        rot = Rotation.random(random_state=rng).as_matrix()
+        azimuth = rng.uniform(0.0, 2.0 * math.pi)
+        z0 = rng.uniform(-2.0 * half_h, 2.0 * half_h)
+        clear = radius + max(axes)
+        ca, sa = math.cos(azimuth), math.sin(azimuth)
+        if i % 4 == 0:
+            rho, want = clear + 1.0, rng.uniform(0.0, 0.08)
+            for _ in range(6):
+                lo = datagen._edge_bounds(rot, (rho * ca, rho * sa, z0),
+                                          axes, radius, half_h)[0]
+                if lo <= want:
+                    break
+                rho -= lo - want
+        else:
+            rho = rng.uniform(0.0, clear + 10.0)
+        center = (rho * ca, rho * sa, z0)
+        out.append((rot, center, axes, radius, half_h,
+                    _plain_projection_bounds(rot, center, axes, radius,
+                                             half_h)))
+    return out
 
 
 class TestTargetSampling:
@@ -142,6 +248,13 @@ class TestTargetSampling:
         _, _, placements, calls = draws
         assert calls / len(placements) <= 20
 
+    def test_placement_needs_few_projection_iterations(self, draws,
+                                                       kernel_iterations):
+        # plain alternating projections took about 58 a call; a heavy
+        # tail (1 % of calls held 35 % of the iterations) set the mean
+        assert len(kernel_iterations) > len(draws[2])
+        assert np.mean(kernel_iterations) <= 15
+
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             sample_target(np.random.default_rng(0), GEOM,
@@ -185,6 +298,49 @@ class TestDistanceKernel:
             est = min(_point_to_cylinder(p) for p in pts)
             assert est >= d - 1e-9
             assert est - d < 0.05
+
+    def test_recorded_distances_are_certified(self, draws):
+        # plain projections left 4 of these 1,000 up to 6.9e-8 off, at the
+        # iteration cap
+        targets, dist, _, _ = draws
+        for t, d in zip(targets, dist):
+            lo, hi, _ = datagen._edge_bounds(
+                t.rotation_matrix(), t.center, t.semi_axes, GEOM.probe_radius,
+                GEOM.probe_height / 2.0)
+            assert hi - lo <= 1e-10
+            assert d == hi
+
+    def test_uncertified_distance_raises(self, monkeypatch):
+        t = TargetSpec(center=(6.0, 1.0, 0.5), semi_axes=(4.0, 6.0, 9.0),
+                       quat=(0.3, -0.2, 0.1, math.sqrt(0.86)))
+        assert target_probe_distance(t, GEOM) > 0.0
+        monkeypatch.setattr(datagen, "_EDGE_ITERS", 1)
+        with pytest.raises(SolverError):
+            target_probe_distance(t, GEOM)
+
+    def test_matches_plain_projection_oracle(self):
+        configs = _kernel_configs(512, seed=11)
+        upper = np.array([c[5][1] for c in configs])
+        certified = np.array([c[5][1] - c[5][0] <= 1e-10 for c in configs])
+        assert np.sum(upper == 0.0) >= 50
+        assert np.sum((upper > 0.0) & (upper < 0.1) & certified) >= 100
+        assert np.sum(upper > 1.0) >= 200
+        assert certified.mean() > 0.9
+        offsets = (-1.0, -1e-3, -1e-6, -1e-9, 1e-9, 1e-6, 1e-3, 1.0)
+        for rot, center, axes, radius, half_h, (o_lo, o_hi) in configs:
+            lo, hi, _ = datagen._edge_bounds(rot, center, axes, radius, half_h)
+            # both kernels' bounds are rigorous, so they overlap
+            assert lo <= o_hi + 1e-12 and o_lo <= hi + 1e-12
+            if o_hi - o_lo > 1e-10:
+                continue
+            assert abs(hi - o_hi) <= 2e-10
+            for off in offsets:
+                threshold = o_hi + off
+                if threshold <= 0.0:
+                    continue
+                got = datagen._edge_distance(rot, center, axes, radius,
+                                             half_h, threshold=threshold)
+                assert (got >= threshold) == (o_hi >= threshold)
 
     def test_monotone_along_ray(self):
         prev = 0.0
