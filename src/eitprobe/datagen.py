@@ -146,6 +146,11 @@ _EDGE_ITERS = 3000
 # _AITKEN_MAX displacements
 _AITKEN_COS = 0.99
 _AITKEN_MAX = 1000.0
+# step cap of each of placement's final walks. They end only because the
+# thresholded verdicts are monotone in the radius, and on 2,000 sampled
+# targets neither walk took a single step; a longer walk means a kernel
+# whose verdicts are not monotone, which would otherwise walk for ever
+_WALK_STEPS = 64
 
 
 def _edge_bounds(rot: np.ndarray, center, semi_axes, radius: float,
@@ -345,7 +350,9 @@ def _place_radius(azimuth: float, z0: float, distance: float, semi_axes,
     narrows that bracket on the converged distance, and the thresholded
     comparison fixes the result: r with ``dist(r) >= distance`` and
     ``dist(r - step) < distance``, where ``step = hi * 2**-48`` is the
-    width that 48 bisection steps would leave.
+    width that 48 bisection steps would leave. Each final walk onto that
+    radius is capped at ``_WALK_STEPS`` steps and raises ``SolverError``
+    beyond it.
     """
     rot = Rotation.from_quat(quat).as_matrix()
     ca, sa = math.cos(azimuth), math.sin(azimuth)
@@ -368,11 +375,22 @@ def _place_radius(azimuth: float, z0: float, distance: float, semi_axes,
     r = _brent(excess, 0.0, hi, f0, excess(hi), step)
     # the converged and the thresholded distance can disagree on the side
     # within rounding of the requested value; the result obeys the latter
-    while dist_at(r, threshold=distance) < distance:
+    def unsettled(rho: float) -> SolverError:
+        return SolverError(f"placement walked {_WALK_STEPS} steps of {step!r} "
+                           f"to radius {rho!r} without the thresholded "
+                           f"distance settling on {distance!r}")
+
+    for _ in range(_WALK_STEPS):
+        if dist_at(r, threshold=distance) >= distance:
+            break
         r += step
-    while dist_at(r - step, threshold=distance) >= distance:
+    else:
+        raise unsettled(r)
+    for _ in range(_WALK_STEPS):
+        if dist_at(r - step, threshold=distance) < distance:
+            return r
         r -= step
-    return r
+    raise unsettled(r)
 
 
 def sample_target(rng: np.random.Generator, geom: TankGeometry,

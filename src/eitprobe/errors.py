@@ -18,7 +18,11 @@ class SingularSystemError(EitProbeError):
 
 
 class SolverError(EitProbeError):
-    """A linear solve did not meet its residual tolerance."""
+    """A numerical solver did not settle its answer: a forward solve
+    missed its residual tolerance (``SparseSystem.solve``), a probe distance
+    stayed uncertified at the kernel's iteration cap
+    (``target_probe_distance``), or a target placement's final walk hit its
+    step cap (``sample_target``)."""
 
 
 class IllConditionedError(EitProbeError):

@@ -24,16 +24,30 @@ where P' folds the measurements, summing twins onto their row. So R and
 the dense block are sized by the distinct rows, 464 for the adjacent
 schedule's 928 measurements, each one sparse solve. The solves are streamed
 in narrow column blocks, so the build holds the Jacobian, the prior's
-factor, the rows-by-rows block, the nodes-by-rows Z (R in the end) and
-about three elements-by-block arrays: the right-hand side, the solution and
-SuperLU's work array. Narrow blocks cost no time: the prior factor has
-nearly one supernode per column, so a solve costs the same per right-hand
-side at any width.
+factor, the rows-by-rows block, the nodes-by-rows Z (R in the end) and,
+per block in flight, about three elements-by-block arrays: the right-hand
+side, the solution and SuperLU's work array. Narrow blocks cost no time:
+the prior factor has nearly one supernode per column, so a solve costs the
+same per right-hand side at any width.
+
+The blocks do not depend on one another, and SuperLU's solve and BLAS both
+release the GIL, so a pool of at most two threads runs them concurrently.
+Each block's solution fills its own columns of Z and of the dense block,
+the latter only at and below the diagonal: the block is symmetric, so its
+upper triangle is mirrored from the lower one and half the product is
+skipped. The in-flight working set is workers x width x three
+element-length arrays, and peak memory grows with it; two workers of 16
+columns hold 32 columns, the width that one worker used alone, so the
+solves spread over two cores at the same peak. Every block is computed by
+the same operations whatever the number of workers, so R is bitwise the
+same on any machine.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,11 +63,17 @@ from .mesh import Mesh
 
 DEFAULT_LAMBDA = 0.03
 _PRIOR_RIDGE = 1e-8
-# Jacobian rows per solve block of the matrix build. Each block holds
-# about three elements-by-block arrays at once (7.3 MB each on the desk
-# mesh at 32); a solve's cost per column is flat in the width, and 32 saves
-# almost all that 16 would at no extra time
-_BLOCK_COLUMNS = 32
+# Jacobian rows per solve block of the matrix build, and the threads that
+# run the blocks. The working set is workers x width x three element-length
+# arrays (3.6 MB each on the desk mesh at 16), and peak memory grows with it
+# (the desk build alone peaks at 344 MB with 32 columns in flight, 417 MB
+# with 128); a solve's cost per column is flat in the width. So two workers
+# of 16 hold the 32 columns one worker held, and more would need narrower
+# blocks
+_BLOCK_COLUMNS = 16
+_WORKERS = min(2, (len(os.sched_getaffinity(0))
+                   if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)
@@ -130,16 +150,27 @@ def _build(jac: Jacobian, mesh: Mesh, cfg: GnConfig,
                     IllConditionedError)
     k = np.empty((n_rows, n_rows))
     z = np.empty((avg.shape[0], n_rows))
-    for i in range(0, n_rows, _BLOCK_COLUMNS):
+
+    def solve_block(i: int) -> None:
+        # runs in a worker, so it touches only SuperLU, numpy and its own
+        # columns: every cached property it needs is resolved above (on
+        # Python 3.11 computing one holds a class-wide lock), and it calls
+        # no public eitprobe function, which a single-threaded tracer may wrap
         b = slice(i, i + _BLOCK_COLUMNS)
         # the transpose of a row block is Fortran-ordered, as SuperLU wants
         w = s.solve((jmat[b] / unscale).T)
         w /= unscale[:, None]
-        k[:, b] = jmat @ w
+        k[i:, b] = jmat[i:] @ w
         z[:, b] = avg @ w
-    # halving is exact, so g is exactly symmetric
-    g = (k + k.T) * 0.5
-    g.flat[::n_rows + 1] += 1.0 / jac.counts
+
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        # list() waits for every block and re-raises the first failure
+        list(pool.map(solve_block, range(0, n_rows, _BLOCK_COLUMNS)))
+    # only the blocks at and below the diagonal were formed; mirroring the
+    # strict lower triangle makes g exactly symmetric
+    low = np.tril(k, -1)
+    g = low + low.T
+    g.flat[::n_rows + 1] = k.diagonal() + 1.0 / jac.counts
     try:
         # g.T is g, Fortran-ordered: the factorization overwrites it in place
         cho = cho_factor(g.T, lower=True, overwrite_a=True)

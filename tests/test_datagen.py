@@ -318,6 +318,24 @@ class TestDistanceKernel:
         with pytest.raises(SolverError):
             target_probe_distance(t, GEOM)
 
+    @pytest.mark.parametrize("offset", [-1.0, 1.0])
+    def test_contradicting_verdicts_stop_the_walk(self, monkeypatch, offset):
+        # thresholded verdicts a unit off the converged distance, as from a
+        # kernel with a non-rigorous bound: -1 keeps the upward walk going,
+        # +1 the downward one, each for about 2**48 steps without the cap
+        args = (0.3, 0.5, 1.0, (1.0, 1.5, 2.0), IDENTITY_QUAT, GEOM)
+        assert datagen._place_radius(*args) > 0.0
+        kernel = datagen._edge_distance
+
+        def edge_distance(*a, threshold=None):
+            d = kernel(*a, threshold=threshold)
+            return d if threshold is None else d + offset
+
+        monkeypatch.setattr(datagen, "_edge_distance", edge_distance)
+        with pytest.raises(SolverError, match=f"walked {datagen._WALK_STEPS} "
+                                              "steps of .* to radius"):
+            datagen._place_radius(*args)
+
     def test_matches_plain_projection_oracle(self):
         configs = _kernel_configs(512, seed=11)
         upper = np.array([c[5][1] for c in configs])

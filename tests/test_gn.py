@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -125,7 +126,8 @@ def test_build_memory_stays_near_the_jacobian(tiny_jacobian, tiny_mesh):
     # the build must not hold whole element-by-measurement copies of the
     # Jacobian; caches of the mesh are warmed so only the build is counted.
     # The bound is against one row per measurement (46 MB on the tiny mesh);
-    # the build reads 0.25 of it, 0.56 with 128-column solve blocks
+    # the build reads 0.23 of it with two 16-column blocks in flight (every
+    # thread's allocations are traced), 0.56 with one 128-column block
     full = tiny_jacobian.row_index.size * tiny_jacobian.matrix[0].nbytes
     smoothness_prior(tiny_mesh)
     tracemalloc.start()
@@ -141,12 +143,30 @@ def test_build_memory_stays_near_the_jacobian(tiny_jacobian, tiny_mesh):
 def test_matrix_does_not_depend_on_the_block_width(tiny_jacobian, tiny_mesh,
                                                    tiny_rmat, width,
                                                    monkeypatch):
-    # 7 leaves an uneven last block (464 = 66 * 7 + 2), 464 is one block;
-    # only the widths of the dense products change, so only rounding moves
+    # 7 leaves an uneven last block (464 = 66 * 7 + 2), which the default
+    # 16 does not (464 = 29 * 16), and 464 is one block; only the widths of
+    # the dense products change, so only rounding moves
     monkeypatch.setattr(gn, "_BLOCK_COLUMNS", width)
     rm = build_reconstruction_matrix(tiny_jacobian, tiny_mesh, GnConfig())
     ref = tiny_rmat.matrix
     assert np.abs(rm.matrix - ref).max() <= 1e-5 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_matrix_does_not_depend_on_the_workers(tiny_jacobian, tiny_mesh,
+                                               tiny_rmat, workers,
+                                               monkeypatch):
+    # each block is computed by the same operations on any thread, so the
+    # pool's size cannot move a bit of R; more workers than cores, switching
+    # often, stress the writes of concurrent blocks into shared arrays
+    monkeypatch.setattr(gn, "_WORKERS", workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rm = build_reconstruction_matrix(tiny_jacobian, tiny_mesh, GnConfig())
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(rm.matrix, tiny_rmat.matrix)
 
 
 def test_rebuild_bit_identical(tiny_jacobian, tiny_mesh, tiny_rmat):
