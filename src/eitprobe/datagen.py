@@ -9,12 +9,12 @@ convex bodies, with an Aitken step that jumps ahead along the path when
 its steps shrink geometrically and is kept only when it brings the bodies'
 points closer. Each iterate pairs a point of each body, so the pair gap
 stays an upper bound, and supporting hyperplanes give a lower bound; a
-recorded distance is certified by the two agreeing to 1e-10. The center
-radius realizing a requested distance is found by Brent's method on the
-bracket [0, hi], which is sound because the distance is convex in the
-radius and grows with it once the bodies part; the kernel's thresholded
-comparison then settles the radius to within the width 48 bisection
-steps would leave.
+distance is certified by the two agreeing to 1e-10, and one that is not
+raises ``SolverError``. The center radius realizing a requested distance
+is found by Brent's method on the bracket [0, hi], which is sound because
+the distance is convex in the radius and grows with it once the bodies
+part. The radius returned reaches the requested distance, and one
+bisection width 2**-48 hi below it falls short.
 
 Measurement noise is zero-mean Gaussian per channel with an SNR that
 falls linearly in dB as the measuring pair moves away from the driving
@@ -146,15 +146,10 @@ _EDGE_ITERS = 3000
 # _AITKEN_MAX displacements
 _AITKEN_COS = 0.99
 _AITKEN_MAX = 1000.0
-# step cap of each of placement's final walks. They end only because the
-# thresholded verdicts are monotone in the radius, and on 2,000 sampled
-# targets neither walk took a single step; a longer walk means a kernel
-# whose verdicts are not monotone, which would otherwise walk for ever
-_WALK_STEPS = 64
 
 
 def _edge_bounds(rot: np.ndarray, center, semi_axes, radius: float,
-                 half_h: float, threshold: float | None = None) -> tuple:
+                 half_h: float) -> tuple:
     """Extrapolated alternating projections between an ellipsoid and the
     solid finite cylinder; returns ``(lower, upper, iterations)``.
 
@@ -165,9 +160,7 @@ def _edge_bounds(rot: np.ndarray, center, semi_axes, radius: float,
     horizontal part while the cylinder point lies on the barrel, where the
     cylinder's support function has a kink. Iteration stops when the bounds
     agree to ``_EDGE_TOL``, or after ``_EDGE_ITERS`` iterations with the
-    bounds further apart. With ``threshold`` set, the loop also exits as
-    soon as the bounds settle which side of the threshold the distance
-    falls on.
+    bounds further apart.
 
     Near a tangential touch plain alternating projections creep along a
     nearly straight path with a step ratio close to one (Bauschke &
@@ -251,8 +244,6 @@ def _edge_bounds(rot: np.ndarray, center, semi_axes, radius: float,
             best_lo = max(best_lo, lower(nx / flat, ny / flat, 0.0))
         if gap - best_lo <= _EDGE_TOL:
             break
-        if threshold is not None and (gap < threshold or best_lo > threshold):
-            break
 
         sx, sy, sz = to_cylinder(bx, by, bz)
         dx, dy, dz = bx - px, by - py, bz - pz
@@ -273,13 +264,16 @@ def _edge_bounds(rot: np.ndarray, center, semi_axes, radius: float,
     return best_lo, gap, it
 
 
-def _edge_distance(rot: np.ndarray, center, semi_axes, radius: float,
-                   half_h: float, threshold: float | None = None) -> float:
-    """Upper bound of ``_edge_bounds``: the distance to within 1e-10 once
-    the bounds meet, zero for overlapping bodies. With ``threshold`` set,
-    comparing the result against the threshold stays exact while
-    far-from-threshold queries return after a few steps."""
-    return _edge_bounds(rot, center, semi_axes, radius, half_h, threshold)[1]
+def _distance(rot: np.ndarray, center, semi_axes,
+              geom: TankGeometry) -> float:
+    """Upper bound of ``_edge_bounds``, zero for overlapping bodies;
+    bounds more than ``_EDGE_TOL`` apart raise ``SolverError``."""
+    lo, hi, iters = _edge_bounds(rot, center, semi_axes, geom.probe_radius,
+                                 geom.probe_height / 2.0)
+    if hi - lo > _EDGE_TOL:
+        raise SolverError(f"probe distance not certified after {iters} "
+                          f"iterations: bounds [{float(lo)!r}, {float(hi)!r}]")
+    return hi
 
 
 def target_probe_distance(target: TargetSpec, geom: TankGeometry) -> float:
@@ -287,13 +281,8 @@ def target_probe_distance(target: TargetSpec, geom: TankGeometry) -> float:
     cylinder of ``geom``, accurate to 1e-10; overlapping bodies report
     zero. A distance the kernel cannot certify within its iteration cap
     raises ``SolverError`` rather than being recorded."""
-    lo, hi, iters = _edge_bounds(target.rotation_matrix(), target.center,
-                                 target.semi_axes, geom.probe_radius,
-                                 geom.probe_height / 2.0)
-    if hi - lo > _EDGE_TOL:
-        raise SolverError(f"probe distance not certified after {iters} "
-                          f"iterations: bounds [{lo!r}, {hi!r}]")
-    return hi
+    return _distance(target.rotation_matrix(), target.center,
+                     target.semi_axes, geom)
 
 
 def _brent(f, lo: float, hi: float, flo: float, fhi: float,
@@ -347,23 +336,18 @@ def _place_radius(azimuth: float, z0: float, distance: float, semi_axes,
 
     The distance is convex in the center radius and grows with it once the
     bodies part, so [0, hi] brackets the requested value. Brent's method
-    narrows that bracket on the converged distance, and the thresholded
-    comparison fixes the result: r with ``dist(r) >= distance`` and
-    ``dist(r - step) < distance``, where ``step = hi * 2**-48`` is the
-    width that 48 bisection steps would leave. Each final walk onto that
-    radius is capped at ``_WALK_STEPS`` steps and raises ``SolverError``
-    beyond it.
+    narrows that bracket on the certified distance (``_distance``) to less
+    than ``step = hi * 2**-48``, the width 48 bisection steps would leave,
+    and returns its upper end r: ``dist(r) >= distance``, while the lower
+    end, less than one step below r, has ``dist < distance``. A distance
+    the kernel cannot certify raises ``SolverError``.
     """
     rot = Rotation.from_quat(quat).as_matrix()
     ca, sa = math.cos(azimuth), math.sin(azimuth)
 
-    def dist_at(rho: float, threshold: float | None = None) -> float:
-        return _edge_distance(rot, (rho * ca, rho * sa, z0), semi_axes,
-                              geom.probe_radius, geom.probe_height / 2.0,
-                              threshold=threshold)
-
     def excess(rho: float) -> float:
-        return dist_at(rho) - distance
+        return _distance(rot, (rho * ca, rho * sa, z0), semi_axes,
+                         geom) - distance
 
     f0 = excess(0.0)
     if f0 >= 0.0:
@@ -371,26 +355,7 @@ def _place_radius(azimuth: float, z0: float, distance: float, semi_axes,
         return 0.0
     # every target point then lies at least distance + 1 off the probe wall
     hi = geom.probe_radius + distance + max(semi_axes) + 1.0
-    step = hi * 2.0 ** -48
-    r = _brent(excess, 0.0, hi, f0, excess(hi), step)
-    # the converged and the thresholded distance can disagree on the side
-    # within rounding of the requested value; the result obeys the latter
-    def unsettled(rho: float) -> SolverError:
-        return SolverError(f"placement walked {_WALK_STEPS} steps of {step!r} "
-                           f"to radius {rho!r} without the thresholded "
-                           f"distance settling on {distance!r}")
-
-    for _ in range(_WALK_STEPS):
-        if dist_at(r, threshold=distance) >= distance:
-            break
-        r += step
-    else:
-        raise unsettled(r)
-    for _ in range(_WALK_STEPS):
-        if dist_at(r - step, threshold=distance) < distance:
-            return r
-        r -= step
-    raise unsettled(r)
+    return _brent(excess, 0.0, hi, f0, excess(hi), hi * 2.0 ** -48)
 
 
 def sample_target(rng: np.random.Generator, geom: TankGeometry,

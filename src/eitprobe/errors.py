@@ -19,10 +19,10 @@ class SingularSystemError(EitProbeError):
 
 class SolverError(EitProbeError):
     """A numerical solver did not settle its answer: a forward solve
-    missed its residual tolerance (``SparseSystem.solve``), a probe distance
-    stayed uncertified at the kernel's iteration cap
-    (``target_probe_distance``), or a target placement's final walk hit its
-    step cap (``sample_target``)."""
+    missed its residual tolerance (``SparseSystem.solve``), or a probe
+    distance stayed uncertified at the kernel's iteration cap
+    (``datagen._distance``, under ``target_probe_distance`` and
+    ``sample_target``)."""
 
 
 class IllConditionedError(EitProbeError):

@@ -42,25 +42,24 @@ _MAX_SHRINKS = 30
 _SHRINK = 0.5
 _CG_ITERS = 30
 _CG_RTOL = 1e-8
+_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class PdipmConfig:
-    """TV weight and stopping controls. The smoothing scale beta is always
-    taken from the data: 1e-4 times the peak of an optimally scaled
-    back-projection of dv, clipped to [1e-12, 1e-2]."""
+    """TV weight and iteration cap; a step that lowers the objective by at
+    most ``_TOL`` of its value also ends the solve. The smoothing scale
+    beta is always taken from the data: 1e-4 times the peak of an
+    optimally scaled back-projection of dv, clipped to [1e-12, 1e-2]."""
 
     alpha: float = DEFAULT_ALPHA
     max_iters: int = 100
-    tol: float = 1e-6
 
     def validate(self) -> None:
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ValueError("alpha must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not (0 < self.tol < 1):
-            raise ValueError("tol must lie in (0, 1)")
 
 
 @dataclass(eq=False)
@@ -184,7 +183,7 @@ def _solve(jac: Jacobian, scale: float, lop: csr_matrix, data: np.ndarray,
         trace.cg_iters.append(cg_iters)
         trace.cg_resid.append(cg_resid)
         trace.shrinks.append(shrinks)
-        if (f_cur - f_new) / max(abs(f_new), 1e-300) <= cfg.tol:
+        if (f_cur - f_new) / max(abs(f_new), 1e-300) <= _TOL:
             trace.stopped_reason = "tol"
             break
     return x, trace

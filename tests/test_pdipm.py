@@ -9,7 +9,7 @@ from eitprobe.datagen import NoiseModel, add_noise
 from eitprobe.errors import DimensionError, IllConditionedError, ProvenanceError
 from eitprobe.forward import (StimPattern, VoltageFrame, assemble_system,
                               homogeneous_field, solve_forward)
-from eitprobe.pdipm import (PdipmConfig, _cg, build_tv_operator,
+from eitprobe.pdipm import (_TOL, PdipmConfig, _cg, build_tv_operator,
                             reconstruct_pdipm_batch)
 
 BALL_CENTER = np.array([1.6, 0.0, 0.0])
@@ -162,7 +162,7 @@ def _full_row_loop(jfull, lop, dv, cfg):
         step = ((np.sign(dy[nz]) - y[nz]) / dy[nz]).min(initial=1.0)
         y = np.clip(y + step * dy, -1.0, 1.0)
         objectives.append(float(objective(resid, t + s * ld)))
-        if (f_cur - objectives[-1]) / abs(objectives[-1]) <= cfg.tol:
+        if (f_cur - objectives[-1]) / abs(objectives[-1]) <= _TOL:
             return objectives, "tol"
     return objectives, "max_iters"
 
@@ -265,7 +265,7 @@ def test_input_validation(tiny_jacobian, tv):
     with pytest.raises(DimensionError):
         reconstruct_pdipm_batch(tiny_jacobian, tv, np.zeros(5),
                                 PdipmConfig(alpha=1e-3))
-    for bad in (PdipmConfig(alpha=0.0), PdipmConfig(alpha=1.0, tol=2.0)):
+    for bad in (PdipmConfig(alpha=0.0), PdipmConfig(max_iters=0)):
         with pytest.raises(ValueError):
             bad.validate()
 
