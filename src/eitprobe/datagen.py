@@ -50,6 +50,8 @@ from .mesh import Mesh, TankGeometry
 DEFAULT_SEMI_AXES = (4.0, 6.0, 9.0)
 DEFAULT_SIGMA_IN = 0.3
 DEFAULT_SIGMA_BG = 0.15
+# target centers are drawn uniformly in height from [-_Z_BAND, _Z_BAND]
+_Z_BAND = 2.0
 
 DATASET_FORMAT = "eitprobe-dataset"
 DATASET_VERSION = 2
@@ -111,30 +113,23 @@ class TargetSpec:
 
 @dataclass(frozen=True)
 class SampleBounds:
-    """Placement envelope for random targets; the probe they are placed
-    around is the mesh's own (``TankGeometry``)."""
+    """Largest edge-to-edge distance and semi-axes of random targets, placed
+    around the mesh's own probe (``TankGeometry``). Center heights within
+    ``_Z_BAND`` and the default conductivities are fixed."""
 
     max_distance: float = 10.0
-    z_band: float = 2.0
     semi_axes: tuple = DEFAULT_SEMI_AXES
-    sigma_in: float = DEFAULT_SIGMA_IN
-    sigma_bg: float = DEFAULT_SIGMA_BG
 
     def validate(self) -> None:
         if not 0 < self.max_distance < math.inf:
             raise ValueError("max_distance must be positive and finite")
-        if not 0 <= self.z_band < math.inf:
-            raise ValueError("z_band must be nonnegative and finite")
         if not all(0 < a < math.inf for a in self.semi_axes):
             raise ValueError("semi-axes must be positive and finite")
 
     def to_dict(self) -> dict:
         return {
             "max_distance": self.max_distance,
-            "z_band": self.z_band,
             "semi_axes": list(self.semi_axes),
-            "sigma_in": self.sigma_in,
-            "sigma_bg": self.sigma_bg,
         }
 
 
@@ -364,13 +359,12 @@ def sample_target(rng: np.random.Generator, geom: TankGeometry,
     ``geom``, uniform edge-to-edge distance, uniform random orientation."""
     bounds.validate()
     azimuth = rng.uniform(0.0, 2.0 * math.pi)
-    z0 = rng.uniform(-bounds.z_band, bounds.z_band)
+    z0 = rng.uniform(-_Z_BAND, _Z_BAND)
     distance = rng.uniform(0.0, bounds.max_distance)
     quat = tuple(float(v) for v in Rotation.random(random_state=rng).as_quat())
     rho = _place_radius(azimuth, z0, distance, bounds.semi_axes, quat, geom)
     center = (rho * math.cos(azimuth), rho * math.sin(azimuth), z0)
-    return TargetSpec(center=center, semi_axes=bounds.semi_axes, quat=quat,
-                      sigma_in=bounds.sigma_in, sigma_bg=bounds.sigma_bg)
+    return TargetSpec(center=center, semi_axes=bounds.semi_axes, quat=quat)
 
 
 def rasterize_target(mesh: Mesh, target: TargetSpec) -> np.ndarray:
@@ -527,7 +521,7 @@ def gen_dataset(out_dir: str | Path, n: int, gen_mesh: Mesh, inv_mesh: Mesh,
 
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
-    v_ref = reference_frame(gen_mesh, schedule, pattern, bounds.sigma_bg)
+    v_ref = reference_frame(gen_mesh, schedule, pattern, DEFAULT_SIGMA_BG)
     write_frame_csv(v_ref, schedule, root / "v_ref.csv")
 
     targets = []

@@ -182,13 +182,12 @@ class SparseSystem:
         return reduced, _factor_spd(reduced, SingularSystemError), keep
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve for one or more right-hand sides (columns); the grounded
-        dof is forced to zero. Raises SolverError on a residual miss."""
-        rhs = np.asarray(rhs, dtype=np.float64)
-        single = rhs.ndim == 1
-        b = rhs[:, None] if single else rhs
-        if b.shape[0] != self.matrix.shape[0]:
-            raise DimensionError("right-hand side size mismatch")
+        """Solve for the right-hand sides in the columns of ``rhs``; the
+        grounded dof is forced to zero. Raises SolverError on a residual miss."""
+        b = np.asarray(rhs, dtype=np.float64)
+        if b.ndim != 2 or b.shape[0] != self.matrix.shape[0]:
+            raise DimensionError(f"right-hand sides must be a matrix of "
+                                 f"{self.matrix.shape[0]}-row columns, not {b.shape}")
         reduced, factor, keep = self._reduced
         br = b[keep]
         xr = factor.solve(br)
@@ -203,7 +202,7 @@ class SparseSystem:
                 f"relative residual {float(rel.max()):.3e} exceeds {_RESIDUAL_RTOL}")
         x = np.zeros_like(b)
         x[keep] = xr
-        return x[:, 0] if single else x
+        return x
 
     def electrode_currents(self, solution: np.ndarray) -> np.ndarray:
         """Currents actually flowing through each electrode for a solution

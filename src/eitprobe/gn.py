@@ -57,7 +57,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse import identity as speye
 
 from .errors import DimensionError, IllConditionedError, ProvenanceError
-from .forward import Jacobian, VoltageFrame, _factor_spd, _fold_twins
+from .forward import Jacobian, _factor_spd, _fold_twins
 from .ioutil import hash_of
 from .mesh import Mesh
 
@@ -88,9 +88,7 @@ class GnConfig:
             raise ValueError("lam must be positive and finite")
 
     def to_dict(self) -> dict:
-        # the prior is always the Laplacian; naming it keeps config hashes,
-        # and so dataset manifests, as they were
-        return {"lam": self.lam, "prior": "laplacian"}
+        return {"lam": self.lam}
 
 
 @dataclass(eq=False)
@@ -196,16 +194,12 @@ def element_to_nodal(values: np.ndarray, mesh: Mesh) -> np.ndarray:
     return mesh.averaging_map @ values
 
 
-def reconstruct_gn(rmat: ReconstructionMatrix, dv, mesh: Mesh) -> np.ndarray:
-    """Nodal conductivity-change image from a voltage difference."""
+def reconstruct_gn(rmat: ReconstructionMatrix, dv: np.ndarray,
+                  mesh: Mesh) -> np.ndarray:
+    """Nodal conductivity-change image from a voltage-difference array."""
     if rmat.mesh_id != mesh.mesh_id:
         raise ProvenanceError("reconstruction matrix belongs to a different mesh")
-    if isinstance(dv, VoltageFrame):
-        if dv.schedule_id != rmat.schedule_id:
-            raise ProvenanceError("frame schedule does not match the matrix")
-        values = dv.values
-    else:
-        values = np.asarray(dv, dtype=np.float64)
+    values = np.asarray(dv, dtype=np.float64)
     if values.shape != rmat.row_index.shape:
         raise DimensionError("voltage difference length does not match the matrix")
     if not np.all(np.isfinite(values)):

@@ -32,6 +32,8 @@ from .errors import GeometryError, MeshingError
 from .ioutil import canonical_json_bytes, sha256_hex
 
 MESH_FORMAT_VERSION = 1
+# jitter moves a free grid entry by up to this fraction of its smaller gap
+_JITTER_FRAC = 0.15
 
 
 @dataclass(frozen=True)
@@ -346,8 +348,8 @@ def _graded_spacings(span: float, near: float, far: float, growth: float) -> np.
 
 
 def _jitter(values: np.ndarray, free: np.ndarray, rng: np.random.Generator,
-            period: float | None = None, frac: float = 0.15) -> np.ndarray:
-    """Perturb the entries flagged ``free`` by +-frac of the local gap.
+            period: float | None = None) -> np.ndarray:
+    """Perturb the entries flagged ``free`` by +-_JITTER_FRAC of the local gap.
 
     With a ``period`` the values wrap around, so the end entries' gaps span
     the seam; without one the end entries stay fixed.
@@ -358,8 +360,8 @@ def _jitter(values: np.ndarray, free: np.ndarray, rng: np.random.Generator,
         ext = np.concatenate([[values[-1] - period], values, [values[0] + period]])
     gaps = np.diff(ext)
     u = rng.uniform(-1.0, 1.0, size=len(values))
-    return np.where(free, values + frac * np.minimum(gaps[:-1], gaps[1:]) * u,
-                    values)
+    step = _JITTER_FRAC * np.minimum(gaps[:-1], gaps[1:]) * u
+    return np.where(free, values + step, values)
 
 
 def _angular_grid(geom: TankGeometry, density: RefinementSpec,

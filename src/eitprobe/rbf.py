@@ -1,13 +1,15 @@
 """Radial-basis-function network with a linear output layer.
 
-Two usage modes share one architecture: ``direct`` maps the 928 measured
+Two usage modes share one architecture: ``direct`` maps the measured
 voltage differences straight to a nodal image; ``postproc`` maps a linear
 reconstruction to a cleaned-up nodal image. Hidden units are Gaussians on
 k-means centers of the normalized training inputs; the output layer is
 solved in closed form by ridge least squares in target units, so training
-is deterministic.
-Rounds sweep the spread over a short ladder around its base value and the
-round with the lowest validation error is kept.
+is deterministic. The one knob is the number of hidden units.
+Rounds sweep the spread over the fixed ladder ``_LADDER`` of multiples of
+the median pairwise distance of the training inputs, and the round with
+the lowest validation error is kept; the sweep stops after ``_PATIENCE``
+rounds without improvement.
 """
 
 from __future__ import annotations
@@ -23,36 +25,25 @@ from .errors import (DegenerateDataError, DimensionError, ProvenanceError,
 from .mesh import Mesh
 
 MODES = ("direct", "postproc")
-DIRECT_INPUT_DIM = 928
 _LLOYD_ITERS = 25
+_RIDGE = 1e-8
+_VAL_FRACTION = 0.10
+_SEED = 0
+# multiples of the base spread, each exact in binary
+_LADDER = (1.0, 1.5, 0.75, 1.5 ** 2, 0.75 ** 2, 1.5 ** 3, 0.75 ** 3, 1.5 ** 4)
+_PATIENCE = 3
+_MEDIAN_CAP = 256  # leading training inputs the base spread is taken over
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Network size, spread sweep and split controls."""
+    """Network size."""
 
     hidden_count: int = 200
-    spread: float | None = None
-    ridge: float = 1e-8
-    val_fraction: float = 0.10
-    seed: int = 0
-    max_rounds: int = 8
-    patience: int = 3
 
     def validate(self) -> None:
         if self.hidden_count < 1:
             raise ValueError("hidden_count must be at least 1")
-        if self.spread is not None and not (self.spread > 0
-                                            and math.isfinite(self.spread)):
-            raise ValueError("spread must be positive")
-        if not 0 <= self.ridge < math.inf:
-            raise ValueError("ridge must be nonnegative and finite")
-        if not 0 < self.val_fraction < 0.5:
-            raise ValueError("val_fraction must lie in (0, 0.5)")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be at least 1")
-        if self.patience < 1:
-            raise ValueError("patience must be at least 1")
 
 
 @dataclass(eq=False)
@@ -135,23 +126,12 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     return centers
 
 
-def _median_pairwise(points: np.ndarray, cap: int = 256) -> float:
-    sub = points[:cap]
+def _median_pairwise(points: np.ndarray) -> float:
+    sub = points[:_MEDIAN_CAP]
     d2 = _sq_distances(sub, sub)
     upper = d2[np.triu_indices(sub.shape[0], k=1)]
     med = float(np.sqrt(np.median(upper))) if upper.size else 0.0
     return med if med > 0 else 1.0
-
-
-def _spread_ladder(max_rounds: int) -> list[float]:
-    ladder = [1.0]
-    k = 1
-    while len(ladder) < max_rounds:
-        ladder.append(1.5 ** k)
-        if len(ladder) < max_rounds:
-            ladder.append(0.75 ** k)
-        k += 1
-    return ladder
 
 
 def _design(xn: np.ndarray, centers: np.ndarray, spread: float) -> np.ndarray:
@@ -189,16 +169,13 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
         raise DimensionError("inputs and targets must be 2-d sample matrices")
     if inputs.shape[0] != targets.shape[0]:
         raise DimensionError("inputs and targets disagree on sample count")
-    if mode == "direct" and inputs.shape[1] != DIRECT_INPUT_DIM:
-        raise DimensionError(
-            f"direct mode expects {DIRECT_INPUT_DIM} inputs per sample")
     n = inputs.shape[0]
     if n < 10:
         raise ValueError("training needs at least 10 samples")
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(_SEED)
     perm = rng.permutation(n)
-    n_val = max(1, int(round(cfg.val_fraction * n)))
+    n_val = max(1, int(round(_VAL_FRACTION * n)))
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     if cfg.hidden_count > train_idx.size:
         raise ValueError("hidden_count exceeds the training split size")
@@ -212,16 +189,16 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
     t_tr, t_val = targets[train_idx], targets[val_idx]
 
     centers = _kmeans(xn_tr, cfg.hidden_count, rng)
-    base = cfg.spread if cfg.spread is not None else _median_pairwise(xn_tr)
+    base = _median_pairwise(xn_tr)
 
     trace = TrainTrace()
     best = None
     best_val = math.inf
     since_best = 0
-    for mult in _spread_ladder(cfg.max_rounds):
+    for mult in _LADDER:
         spread = base * mult
         h_tr = _design(xn_tr, centers, spread)
-        weights, bias = _solve_output_layer(h_tr, t_tr, cfg.ridge)
+        weights, bias = _solve_output_layer(h_tr, t_tr, _RIDGE)
         h_val = _design(xn_val, centers, spread)
         mse_val = float(np.mean((h_val @ weights + bias - t_val) ** 2))
         trace.spreads.append(spread)
@@ -233,7 +210,7 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
             since_best = 0
         else:
             since_best += 1
-            if since_best >= cfg.patience:
+            if since_best >= _PATIENCE:
                 break
 
     spread, weights, bias = best

@@ -528,7 +528,7 @@ class TestDataset:
         assert manifest["noise"] is None
         pattern = StimPattern()
         v_ref = reference_frame(tiny_mesh_alt, tiny_schedule, pattern,
-                                TINY_BOUNDS.sigma_bg)
+                                datagen.DEFAULT_SIGMA_BG)
         data = load_training_arrays(root, tiny_schedule)
         for i in range(2):
             s = make_sample(i, 1, tiny_mesh_alt, tiny_mesh, tiny_schedule,

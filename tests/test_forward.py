@@ -202,10 +202,18 @@ def test_zero_pivot_raises_singular_system_error(tiny_mesh, tiny_system):
     matrix[:, 5] = 0.0
     broken = SparseSystem(mesh=tiny_mesh, matrix=matrix.tocsc(),
                           ground_index=tiny_system.ground_index)
-    rhs = np.zeros(matrix.shape[0])
+    rhs = np.zeros((matrix.shape[0], 1))
     rhs[tiny_mesh.n_nodes], rhs[tiny_mesh.n_nodes + 1] = 1.0, -1.0
     with pytest.raises(SingularSystemError, match="factorization"):
         broken.solve(rhs)
+
+
+def test_solve_takes_columns_only(tiny_system):
+    rhs = np.zeros(tiny_system.matrix.shape[0])
+    with pytest.raises(DimensionError, match="matrix"):
+        tiny_system.solve(rhs)
+    with pytest.raises(DimensionError, match="matrix"):
+        tiny_system.solve(rhs[1:, None])
 
 
 def test_reciprocity(tiny_mesh, tiny_schedule, tiny_solutions):

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from eitprobe import rbf
 from eitprobe.errors import (DegenerateDataError, DimensionError,
                              ProvenanceError, SingularGramError)
 from eitprobe.rbf import TrainConfig, _kmeans, predict, train
@@ -21,23 +22,22 @@ def memo_data(tiny_mesh):
 
 
 @pytest.fixture(scope="module")
-def memo_cfg():
-    # hidden_count equals the training split so the fit can interpolate.
-    return TrainConfig(hidden_count=27, spread=2.0, ridge=1e-10,
-                       val_fraction=0.10, seed=3, max_rounds=1)
-
-
-@pytest.fixture(scope="module")
-def memo_model(memo_data, memo_cfg, tiny_mesh):
+def memo_model(memo_data, tiny_mesh):
+    # hidden_count equals the training split so the fit can interpolate,
+    # at one fixed spread and a lighter ridge
     inputs, targets = memo_data
-    return train(inputs, targets, memo_cfg, "postproc",
-                 tiny_mesh.mesh_id, "sched-memo")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rbf, "_median_pairwise", lambda points: 2.0)
+        mp.setattr(rbf, "_LADDER", (1.0,))
+        mp.setattr(rbf, "_RIDGE", 1e-10)
+        return train(inputs, targets, TrainConfig(hidden_count=27),
+                     "postproc", tiny_mesh.mesh_id, "sched-memo")
 
 
-def _split_indices(n, cfg):
-    rng = np.random.default_rng(cfg.seed)
+def _split_indices(n):
+    rng = np.random.default_rng(rbf._SEED)
     perm = rng.permutation(n)
-    n_val = max(1, int(round(cfg.val_fraction * n)))
+    n_val = max(1, int(round(rbf._VAL_FRACTION * n)))
     return perm[:n_val], perm[n_val:]
 
 
@@ -93,32 +93,33 @@ class TestCenterSelection:
 
 
 class TestTraining:
-    def test_memorization(self, memo_data, memo_cfg, memo_model, tiny_mesh):
+    def test_memorization(self, memo_data, memo_model, tiny_mesh):
         inputs, targets = memo_data
         model, trace = memo_model
         assert trace.n_rounds == 1
         assert model.spread == 2.0
-        _, train_idx = _split_indices(inputs.shape[0], memo_cfg)
+        _, train_idx = _split_indices(inputs.shape[0])
         pred = predict(model, inputs[train_idx], tiny_mesh)
         mse = np.mean((pred - targets[train_idx]) ** 2)
         assert mse < 1e-6 * np.var(targets)
 
-    def test_training_sample_reproduced(self, memo_data, memo_cfg,
-                                        memo_model, tiny_mesh):
+    def test_training_sample_reproduced(self, memo_data, memo_model,
+                                        tiny_mesh):
         inputs, targets = memo_data
         model, _ = memo_model
-        _, train_idx = _split_indices(inputs.shape[0], memo_cfg)
+        _, train_idx = _split_indices(inputs.shape[0])
         i = int(train_idx[0])
         pred = predict(model, inputs[i], tiny_mesh)
         err = np.linalg.norm(pred - targets[i]) / np.linalg.norm(targets[i])
         assert err < 1e-3
 
-    def test_validation_round_selection(self):
+    def test_validation_round_selection(self, monkeypatch):
         rng = np.random.default_rng(7)
         inputs = rng.normal(size=(40, 8))
         proj = rng.normal(size=(8, 5))
         targets = np.sin(inputs @ proj)
-        cfg = TrainConfig(hidden_count=12, seed=5, max_rounds=8, patience=8)
+        monkeypatch.setattr(rbf, "_PATIENCE", len(rbf._LADDER))
+        cfg = TrainConfig(hidden_count=12)
         model, trace = train(inputs, targets, cfg, "postproc", "m", "s")
         assert trace.n_rounds == 8
         sel = trace.selected_round
@@ -131,13 +132,26 @@ class TestTraining:
         assert trace.spreads[2] == pytest.approx(0.75 * base, rel=1e-12)
         assert trace.spreads[3] == pytest.approx(2.25 * base, rel=1e-12)
 
+    def test_patience_stops_the_sweep(self):
+        # at the default patience: round 1 is best, and the three rounds
+        # after it do no better
+        rng = np.random.default_rng(2024)
+        inputs = rng.normal(size=(60, 12))
+        targets = np.tanh(inputs @ rng.normal(size=(12, 5)))
+        cfg = TrainConfig(hidden_count=16)
+        _, trace = train(inputs, targets, cfg, "postproc", "m", "s")
+        assert trace.n_rounds == 5
+        assert trace.selected_round == 1
+        assert trace.n_rounds == trace.selected_round + 1 + rbf._PATIENCE
+        assert trace.spreads == [trace.spreads[0] * m for m in rbf._LADDER[:5]]
+
     def test_default_spread_is_median_pairwise(self):
         rng = np.random.default_rng(8)
         inputs = rng.normal(size=(40, 8))
         targets = rng.normal(size=(40, 3))
-        cfg = TrainConfig(hidden_count=10, seed=2, max_rounds=1)
+        cfg = TrainConfig(hidden_count=10)
         _, trace = train(inputs, targets, cfg, "postproc", "m", "s")
-        _, train_idx = _split_indices(40, cfg)
+        _, train_idx = _split_indices(40)
         x_tr = inputs[train_idx]
         mu, sd = x_tr.mean(axis=0), x_tr.std(axis=0)
         xn = (x_tr - mu) / sd
@@ -151,7 +165,7 @@ class TestTraining:
         rng = np.random.default_rng(13)
         inputs = rng.normal(size=(25, 6))
         targets = rng.normal(size=(25, 4))
-        cfg = TrainConfig(hidden_count=9, seed=1, max_rounds=4)
+        cfg = TrainConfig(hidden_count=9)
         m1, _ = train(inputs, targets, cfg, "postproc", "m", "s")
         m2, _ = train(inputs, targets, cfg, "postproc", "m", "s")
         assert np.array_equal(m1.centers, m2.centers)
@@ -163,9 +177,9 @@ class TestTraining:
         rng = np.random.default_rng(21)
         inputs = rng.normal(loc=3.0, scale=2.5, size=(30, 5))
         targets = rng.uniform(-4.0, 9.0, size=(30, 3))
-        cfg = TrainConfig(hidden_count=8, seed=6, max_rounds=1)
+        cfg = TrainConfig(hidden_count=8)
         model, _ = train(inputs, targets, cfg, "postproc", "m", "s")
-        _, train_idx = _split_indices(30, cfg)
+        _, train_idx = _split_indices(30)
         x_tr = inputs[train_idx]
         assert np.allclose(model.input_mean, x_tr.mean(axis=0), atol=1e-12)
         assert np.allclose(model.input_scale, x_tr.std(axis=0), atol=1e-12)
@@ -173,10 +187,10 @@ class TestTraining:
     def test_fit_is_affine_equivariant(self):
         # the unpenalized bias makes ridge least squares commute with an
         # affine map of the targets, so no target rescaling is needed
-        rng = np.random.default_rng(20)  # selects round 2 of 5
+        rng = np.random.default_rng(20)  # selects round 2 of 6, then stops
         inputs = rng.normal(size=(40, 6))
         targets = np.tanh(inputs @ rng.normal(size=(6, 4)))
-        cfg = TrainConfig(hidden_count=12, seed=2, max_rounds=5, patience=5)
+        cfg = TrainConfig(hidden_count=12)
         m1, tr1 = train(inputs, targets, cfg, "postproc", "m", "s")
         m2, tr2 = train(inputs, 7.5 * targets - 0.3, cfg, "postproc", "m", "s")
         assert tr1.spreads == tr2.spreads
@@ -192,24 +206,26 @@ class TestTraining:
         rng = np.random.default_rng(3)
         inputs = rng.normal(size=(30, 4))
         targets = np.zeros((30, 4))
-        cfg = TrainConfig(hidden_count=10, seed=0, max_rounds=2)
+        cfg = TrainConfig(hidden_count=10)
         model, _ = train(inputs, targets, cfg, "postproc", "m", "s")
         assert np.all(model.output_weights == 0.0)
         assert np.all(model.output_bias == 0.0)
-        _, train_idx = _split_indices(30, cfg)
+        _, train_idx = _split_indices(30)
         # predict reads only the mesh's id and node count
         mesh = SimpleNamespace(mesh_id="m", n_nodes=4)
         assert np.all(predict(model, inputs[train_idx], mesh) == 0.0)
 
-    def test_rank_deficient_gram(self):
+    def test_rank_deficient_gram(self, monkeypatch):
         # hidden + bias columns outnumber the training rows, and a spread
         # far below the point separation underflows every cross activation,
-        # so the gram loses rank exactly
+        # so with no ridge the gram loses rank exactly
         rng = np.random.default_rng(17)
         inputs = rng.normal(size=(12, 5))
         targets = rng.normal(size=(12, 2))
-        cfg = TrainConfig(hidden_count=11, spread=1e-6, ridge=0.0,
-                          seed=4, max_rounds=1)
+        monkeypatch.setattr(rbf, "_median_pairwise", lambda points: 1e-6)
+        monkeypatch.setattr(rbf, "_LADDER", (1.0,))
+        monkeypatch.setattr(rbf, "_RIDGE", 0.0)
+        cfg = TrainConfig(hidden_count=11)
         with pytest.raises(SingularGramError, match="raise ridge"):
             train(inputs, targets, cfg, "postproc", "m", "s")
 
@@ -222,8 +238,6 @@ class TestTraining:
             train(good_x[0], good_t, cfg, "postproc", "m", "s")
         with pytest.raises(DimensionError):
             train(good_x, good_t[:19], cfg, "postproc", "m", "s")
-        with pytest.raises(DimensionError, match="928"):
-            train(good_x, good_t, cfg, "direct", "m", "s")
         with pytest.raises(ValueError, match="at least 10"):
             train(good_x[:8], good_t[:8], cfg, "postproc", "m", "s")
         with pytest.raises(ValueError, match="training split"):
@@ -232,17 +246,13 @@ class TestTraining:
         with pytest.raises(ValueError, match="mode"):
             train(good_x, good_t, cfg, "fancy", "m", "s")
         with pytest.raises(ValueError):
-            TrainConfig(spread=-1.0).validate()
-        with pytest.raises(ValueError):
-            TrainConfig(val_fraction=0.9).validate()
-        with pytest.raises(ValueError):
             TrainConfig(hidden_count=0).validate()
 
     def test_direct_mode_width(self):
         rng = np.random.default_rng(30)
         inputs = rng.normal(size=(12, 928))
         targets = rng.normal(size=(12, 3))
-        cfg = TrainConfig(hidden_count=6, seed=0, max_rounds=1)
+        cfg = TrainConfig(hidden_count=6)
         model, _ = train(inputs, targets, cfg, "direct", "m", "s")
         assert model.mode == "direct"
         assert model.input_dim == 928
@@ -291,7 +301,7 @@ class TestPredict:
         rng = np.random.default_rng(2)
         inputs = rng.normal(size=(20, 6))
         targets = rng.normal(size=(20, 7))
-        cfg = TrainConfig(hidden_count=5, seed=0, max_rounds=1)
+        cfg = TrainConfig(hidden_count=5)
         model, _ = train(inputs, targets, cfg, "postproc",
                          tiny_mesh.mesh_id, "s")
         with pytest.raises(DimensionError):

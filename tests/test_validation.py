@@ -10,7 +10,6 @@ from eitprobe.datagen import SampleBounds, TargetSpec
 from eitprobe.errors import GeometryError, MeshingError
 from eitprobe.mesh import RefinementSpec, TankGeometry
 from eitprobe.metrics import GridSpec
-from eitprobe.rbf import TrainConfig
 
 NAN, INF = math.nan, math.inf
 TARGET = TargetSpec(center=(7.0, 0.0, 0.0))
@@ -27,9 +26,7 @@ CASES = [
     (TankGeometry(), "probe_height", NAN, GeometryError),
     (TankGeometry(), "electrode_size", (NAN, 0.2), GeometryError),
     (SampleBounds(), "max_distance", INF, ValueError),
-    (SampleBounds(), "z_band", NAN, ValueError),
     (GridSpec(), "half_width", INF, ValueError),
-    (TrainConfig(), "ridge", NAN, ValueError),
 ]
 
 
