@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +67,7 @@ class TargetSpec:
     sigma_in: float = DEFAULT_SIGMA_IN
     sigma_bg: float = DEFAULT_SIGMA_BG
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if len(self.center) != 3 or len(self.semi_axes) != 3:
             raise ValueError("center and semi_axes must be 3-vectors")
         if not all(map(math.isfinite, (*self.center, *self.quat))):
@@ -94,15 +94,6 @@ class TargetSpec:
         # bit for bit np.sum over the last axis, without its reduction overhead
         return q[..., 0] + q[..., 1] + q[..., 2]
 
-    def to_dict(self) -> dict:
-        return {
-            "center": [float(v) for v in self.center],
-            "semi_axes": [float(v) for v in self.semi_axes],
-            "quat": [float(v) for v in self.quat],
-            "sigma_in": float(self.sigma_in),
-            "sigma_bg": float(self.sigma_bg),
-        }
-
     @staticmethod
     def from_dict(d: dict) -> "TargetSpec":
         return TargetSpec(center=tuple(d["center"]),
@@ -120,17 +111,11 @@ class SampleBounds:
     max_distance: float = 10.0
     semi_axes: tuple = DEFAULT_SEMI_AXES
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0 < self.max_distance < math.inf:
             raise ValueError("max_distance must be positive and finite")
         if not all(0 < a < math.inf for a in self.semi_axes):
             raise ValueError("semi-axes must be positive and finite")
-
-    def to_dict(self) -> dict:
-        return {
-            "max_distance": self.max_distance,
-            "semi_axes": list(self.semi_axes),
-        }
 
 
 # the kernel's certification width and its iteration cap
@@ -171,9 +156,7 @@ def _edge_bounds(rot: np.ndarray, center, semi_axes, radius: float,
     so the lower bound stays rigorous too. ``iterations`` counts the
     projection pairs, not the trial jumps.
     """
-    r00, r01, r02 = rot[0]
-    r10, r11, r12 = rot[1]
-    r20, r21, r22 = rot[2]
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot.tolist()
     cx, cy, cz = (float(v) for v in center)
     a0, a1, a2 = (float(v) for v in semi_axes)
     a0s, a1s, a2s = a0 * a0, a1 * a1, a2 * a2
@@ -357,7 +340,6 @@ def sample_target(rng: np.random.Generator, geom: TankGeometry,
                   bounds: SampleBounds = SampleBounds()) -> TargetSpec:
     """Draw one target: uniform azimuth and height around the probe of
     ``geom``, uniform edge-to-edge distance, uniform random orientation."""
-    bounds.validate()
     azimuth = rng.uniform(0.0, 2.0 * math.pi)
     z0 = rng.uniform(-_Z_BAND, _Z_BAND)
     distance = rng.uniform(0.0, bounds.max_distance)
@@ -369,7 +351,6 @@ def sample_target(rng: np.random.Generator, geom: TankGeometry,
 
 def rasterize_target(mesh: Mesh, target: TargetSpec) -> np.ndarray:
     """Per-element conductivity: sigma_in inside the ellipsoid, else bg."""
-    target.validate()
     sigma = np.full(mesh.n_elements, target.sigma_bg)
     sigma[target.form(mesh.centroids) <= 1.0] = target.sigma_in
     return sigma
@@ -385,14 +366,11 @@ class NoiseModel:
     snr_near_db: float = 50.0
     snr_far_db: float = 10.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (math.isfinite(self.snr_near_db) and math.isfinite(self.snr_far_db)):
             raise ValueError("SNR endpoints must both be finite")
         if not self.snr_near_db > self.snr_far_db:
             raise ValueError("snr_near_db must exceed snr_far_db")
-
-    def to_dict(self) -> dict:
-        return {"snr_near_db": self.snr_near_db, "snr_far_db": self.snr_far_db}
 
 
 def pair_separations(schedule: MeasurementSchedule) -> np.ndarray:
@@ -426,7 +404,6 @@ def snr_per_measurement(schedule: MeasurementSchedule,
 def add_noise(frame: VoltageFrame, schedule: MeasurementSchedule,
               nm: NoiseModel, rng: np.random.Generator) -> VoltageFrame:
     """Additive zero-mean Gaussian noise, variance v^2 / 10^(SNR/10)."""
-    nm.validate()
     if frame.schedule_id != schedule.schedule_id:
         raise ProvenanceError("frame does not belong to this schedule")
     if frame.values.shape != (schedule.n_measurements,):
@@ -504,10 +481,6 @@ def gen_dataset(out_dir: str | Path, n: int, gen_mesh: Mesh, inv_mesh: Mesh,
         raise ValueError("dataset needs at least one sample")
     if master_seed < 0:
         raise ValueError("master_seed must be nonnegative")
-    bounds.validate()
-    pattern.validate()
-    if noise is not None:
-        noise.validate()
     if gen_mesh.mesh_id == inv_mesh.mesh_id:
         raise ProvenanceError(
             "generation and inverse meshes are identical; reconstruction "
@@ -536,7 +509,7 @@ def gen_dataset(out_dir: str | Path, n: int, gen_mesh: Mesh, inv_mesh: Mesh,
         write_f64(sdir / "dv.f64", s.v_noisy.values - v_ref.values)
         write_f64(sdir / "gn_image.f64", s.gn_image)
         write_f64(sdir / "truth.f64", s.truth_nodal)
-        targets.append({**s.target.to_dict(), "distance": s.distance})
+        targets.append({**asdict(s.target), "distance": s.distance})
 
     manifest = {
         "format": DATASET_FORMAT,
@@ -548,12 +521,14 @@ def gen_dataset(out_dir: str | Path, n: int, gen_mesh: Mesh, inv_mesh: Mesh,
         "schedule_id": schedule.schedule_id,
         "reconstruction_config_hash": rmat.config_hash,
         "amplitude": pattern.amplitude,
-        "noise": None if noise is None else noise.to_dict(),
-        "bounds": bounds.to_dict(),
+        "noise": None if noise is None else asdict(noise),
+        "bounds": asdict(bounds),
         "targets": targets,
     }
-    (root / "manifest.json").write_bytes(canonical_json_bytes(manifest))
-    return manifest
+    data = canonical_json_bytes(manifest)
+    (root / "manifest.json").write_bytes(data)
+    # as ``load_manifest`` reads it back: the configs' tuples become lists
+    return json.loads(data)
 
 
 def load_manifest(path: str | Path) -> dict:

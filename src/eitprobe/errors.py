@@ -42,7 +42,8 @@ class DimensionError(EitProbeError):
 
 
 class SingularGramError(EitProbeError):
-    """RBF output solve hit a singular Gram matrix (ridge too small)."""
+    """RBF output solve hit a singular Gram matrix (too many hidden units
+    for the samples)."""
 
 
 class DegenerateDataError(EitProbeError):

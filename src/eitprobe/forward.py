@@ -46,7 +46,7 @@ class StimPattern:
 
     amplitude: float = DEFAULT_AMPLITUDE
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (self.amplitude > 0 and math.isfinite(self.amplitude)):
             raise ValueError("amplitude must be positive and finite")
 
@@ -263,7 +263,6 @@ def solve_injections(system: SparseSystem, schedule: MeasurementSchedule,
 def solve_forward(system: SparseSystem, pattern: StimPattern,
                   schedule: MeasurementSchedule) -> VoltageFrame:
     """Differential voltages for the whole schedule."""
-    pattern.validate()
     sols = solve_injections(system, schedule, pattern.amplitude)
     u_el = sols[system.n_nodes:, :]
     rows = schedule.rows
@@ -328,7 +327,6 @@ def compute_jacobian(mesh: Mesh, sigma: np.ndarray,
     Products commute exactly, so ``matrix[row_index]`` is the same to the
     bit as the matrix computed one row per measurement.
     """
-    pattern.validate()
     system = assemble_system(mesh, sigma, contact_impedance)
     sols = solve_injections(system, schedule, 1.0)
     w = sols[:mesh.n_nodes, :][mesh.tets, :]                 # (M, 4, P)

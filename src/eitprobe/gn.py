@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -83,12 +83,9 @@ class GnConfig:
 
     lam: float = DEFAULT_LAMBDA
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (self.lam > 0 and math.isfinite(self.lam)):
             raise ValueError("lam must be positive and finite")
-
-    def to_dict(self) -> dict:
-        return {"lam": self.lam}
 
 
 @dataclass(eq=False)
@@ -105,7 +102,7 @@ class ReconstructionMatrix:
 
     @cached_property
     def config_hash(self) -> str:
-        return hash_of(self.config.to_dict())
+        return hash_of(asdict(self.config))
 
 
 def smoothness_prior(mesh: Mesh):
@@ -130,7 +127,6 @@ def _build(jac: Jacobian, mesh: Mesh, cfg: GnConfig,
     """R = avg V^-1 W (U' W + C^-1)^-1 C^-1 / scale on the distinct rows,
     with U = (J V^-1 / scale)', W = S^-1 U, V = diag(volumes) and
     C = diag(counts). U and W are formed one column block at a time."""
-    cfg.validate()
     if jac.mesh_id != mesh.mesh_id:
         raise ProvenanceError("Jacobian was computed on a different mesh")
     jmat = jac.matrix

@@ -20,7 +20,7 @@ It takes no targets; ``TargetSpec.form`` decides what lies inside one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -54,10 +54,15 @@ class TankGeometry:
     electrodes_per_layer: int = 8
     electrode_size: tuple[float, float] = (0.2, 0.2)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not all(0 < v < math.inf for v in (self.probe_radius, self.probe_height,
                                               self.tank_radius, self.tank_height)):
             raise GeometryError("all lengths must be positive and finite")
+        if not all(isinstance(v, (int, np.integer))
+                   for v in (self.layers, self.electrodes_per_layer)):
+            raise GeometryError(
+                "layers and electrodes_per_layer must be integers "
+                f"(got {self.layers!r} and {self.electrodes_per_layer!r})")
         if self.tank_radius < 20.0 * self.probe_radius:
             raise GeometryError(
                 "tank_radius must be at least 20 probe radii for the open-domain "
@@ -97,17 +102,6 @@ class TankGeometry:
         within = electrode % self.electrodes_per_layer
         return 2.0 * math.pi * within / self.electrodes_per_layer
 
-    def to_dict(self) -> dict:
-        return {
-            "probe_radius": self.probe_radius,
-            "probe_height": self.probe_height,
-            "tank_radius": self.tank_radius,
-            "tank_height": self.tank_height,
-            "layers": self.layers,
-            "electrodes_per_layer": self.electrodes_per_layer,
-            "electrode_size": list(self.electrode_size),
-        }
-
 
 @dataclass(frozen=True)
 class RefinementSpec:
@@ -125,7 +119,7 @@ class RefinementSpec:
     growth: float = 1.7
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (0 < self.near < math.inf and 0 < self.far < math.inf):
             raise MeshingError("edge-length targets must be positive and finite")
         if self.near > self.far:
@@ -534,11 +528,10 @@ def build_mesh(geom: TankGeometry, density: RefinementSpec) -> Mesh:
     """Build the graded probe-tank mesh.
 
     Deterministic for fixed (geom, density): the same inputs always produce
-    a byte-identical mesh. Raises GeometryError for invalid geometry and
-    MeshingError if refinement produces a degenerate grid or empty patch.
+    a byte-identical mesh. Raises MeshingError if refinement produces a
+    degenerate grid or empty patch; both configs refuse bad values when
+    they are built.
     """
-    geom.validate()
-    density.validate()
     rng = np.random.default_rng(density.seed) if density.seed != 0 else None
 
     thetas, el_spans = _angular_grid(geom, density, rng)
@@ -609,7 +602,7 @@ def mesh_to_json_bytes(mesh: Mesh) -> bytes:
     """Canonical JSON of the whole mesh; its sha256 is ``Mesh.mesh_id``."""
     doc = {
         "version": MESH_FORMAT_VERSION,
-        "geometry": mesh.geometry.to_dict(),
+        "geometry": asdict(mesh.geometry),
         "nodes": mesh.nodes.ravel().tolist(),
         "tets": mesh.tets.ravel().tolist(),
         "electrodes": [p.ravel().tolist() for p in mesh.electrodes],

@@ -59,11 +59,12 @@ class GridSpec:
     half_width: float = 14.0
     dims: int = 64
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0 < self.half_width < math.inf:
             raise ValueError("half_width must be positive and finite")
-        if self.dims < 8:
-            raise ValueError("grid needs at least 8 voxels per axis")
+        if not isinstance(self.dims, (int, np.integer)) or self.dims < 8:
+            raise ValueError("grid needs an integer of at least 8 voxels per "
+                             f"axis (got {self.dims!r})")
 
     @property
     def spacing(self) -> float:
@@ -104,7 +105,6 @@ class Voxelizer:
     """
 
     def __init__(self, mesh: Mesh, spec: GridSpec):
-        spec.validate()
         self.spec = spec
         axes = spec.axes()
         n = spec.dims

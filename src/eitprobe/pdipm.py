@@ -55,11 +55,12 @@ class PdipmConfig:
     alpha: float = DEFAULT_ALPHA
     max_iters: int = 100
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ValueError("alpha must be positive and finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+            raise ValueError("max_iters must be an integer of at least 1 "
+                             f"(got {self.max_iters!r})")
 
 
 @dataclass(eq=False)
@@ -194,7 +195,6 @@ def reconstruct_pdipm_batch(jac: Jacobian, tv: TvOperator, dv: np.ndarray,
                             ) -> tuple[np.ndarray, list[ConvergenceTrace]]:
     """One interior-point solve per dv column (a vector is one column).
     Returns the per-element images as columns and one trace per column."""
-    cfg.validate()
     if tv.mesh_id != jac.mesh_id:
         raise ProvenanceError("TV operator and Jacobian come from different meshes")
     dv = np.asarray(dv, dtype=np.float64)

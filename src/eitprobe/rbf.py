@@ -41,9 +41,11 @@ class TrainConfig:
 
     hidden_count: int = 200
 
-    def validate(self) -> None:
-        if self.hidden_count < 1:
-            raise ValueError("hidden_count must be at least 1")
+    def __post_init__(self) -> None:
+        if (not isinstance(self.hidden_count, (int, np.integer))
+                or self.hidden_count < 1):
+            raise ValueError("hidden_count must be an integer of at least 1 "
+                             f"(got {self.hidden_count!r})")
 
 
 @dataclass(eq=False)
@@ -150,7 +152,8 @@ def _solve_output_layer(h: np.ndarray, t: np.ndarray, ridge: float):
         cho = cho_factor(gram, lower=True)
     except np.linalg.LinAlgError as exc:
         raise SingularGramError(
-            f"activation gram matrix is rank deficient (raise ridge): {exc}"
+            "activation gram matrix is rank deficient (use fewer hidden "
+            f"units or more samples): {exc}"
         ) from exc
     theta = cho_solve(cho, a.T @ t)
     return theta[:-1], theta[-1]
@@ -160,7 +163,6 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
           mode: str, mesh_id: str, schedule_id: str,
           ) -> tuple[RbfModel, TrainTrace]:
     """Fit the output layer over k-means centers, sweeping the spread."""
-    cfg.validate()
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     inputs = np.asarray(inputs, dtype=np.float64)

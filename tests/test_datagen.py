@@ -1,6 +1,7 @@
 """Tests for target sampling, the probe-distance kernel, rasterization,
 the separation-graded noise model and dataset packaging."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -243,7 +244,7 @@ class TestTargetSampling:
         targets += [sample_target(np.random.default_rng(2 ** 40 ^ i), GEOM)
                     for i in range(7)]
         digest = hashlib.sha256(canonical_json_bytes(
-            [t.to_dict() for t in targets])).hexdigest()
+            [dataclasses.asdict(t) for t in targets])).hexdigest()
         assert digest == ("fb6e676c8895fc112d0214b70148772d"
                           "19156c84b6509cf615fc595f02e968bb")
 
@@ -267,12 +268,12 @@ class TestTargetSampling:
     def test_spec_roundtrip_and_validation(self):
         t = TargetSpec(center=(1.5, -2.0, 0.25), semi_axes=(1.0, 2.0, 3.0),
                        quat=IDENTITY_QUAT)
-        assert TargetSpec.from_dict(t.to_dict()) == t
+        assert TargetSpec.from_dict(dataclasses.asdict(t)) == t
         with pytest.raises(ValueError):
             TargetSpec(center=(0, 0, 0), semi_axes=(1, -1, 1),
-                       quat=IDENTITY_QUAT).validate()
+                       quat=IDENTITY_QUAT)
         with pytest.raises(ValueError):
-            TargetSpec(center=(0, 0, 0), quat=(0, 0, 0, 2.0)).validate()
+            TargetSpec(center=(0, 0, 0), quat=(0, 0, 0, 2.0))
 
 
 class TestDistanceKernel:
@@ -491,11 +492,11 @@ class TestNoise:
     def test_validation(self, tiny_schedule):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            NoiseModel(10.0, 50.0).validate()
+            NoiseModel(10.0, 50.0)
         with pytest.raises(ValueError):
-            NoiseModel(math.inf, 10.0).validate()
+            NoiseModel(math.inf, 10.0)
         with pytest.raises(ValueError):
-            NoiseModel(math.inf, math.inf).validate()
+            NoiseModel(math.inf, math.inf)
         frame = VoltageFrame(values=np.zeros(tiny_schedule.n_measurements),
                              schedule_id="elsewhere")
         with pytest.raises(ProvenanceError):
@@ -591,7 +592,6 @@ class TestDataset:
         root, manifest = tiny_dataset
         doc = manifest["targets"][0]
         t = TargetSpec.from_dict(doc)
-        t.validate()
         assert doc["distance"] == pytest.approx(
             target_probe_distance(t, tiny_mesh_alt.geometry), abs=1e-9)
 

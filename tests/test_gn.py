@@ -240,7 +240,7 @@ def test_non_finite_dv_refused(tiny_rmat, tiny_mesh, bad):
 
 def test_config_validation():
     with pytest.raises(ValueError, match="lam"):
-        GnConfig(lam=0.0).validate()
+        GnConfig(lam=0.0)
 
 
 def test_non_finite_jacobian_refused(tiny_jacobian_nan, tiny_mesh):

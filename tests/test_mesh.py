@@ -15,28 +15,28 @@ DESK_TET_COUNT = 28512
 
 
 def test_default_geometry_is_valid():
-    TankGeometry().validate()
+    TankGeometry()
 
 
 def test_narrow_tank_rejected():
     with pytest.raises(GeometryError):
-        TankGeometry(tank_radius=15.0).validate()
+        TankGeometry(tank_radius=15.0)
 
 
 def test_oversize_electrode_arc_rejected():
     sector_arc = 2.0 * math.pi / 8.0
     with pytest.raises(GeometryError, match="arc"):
-        TankGeometry(electrode_size=(sector_arc * 1.01, 0.2)).validate()
+        TankGeometry(electrode_size=(sector_arc * 1.01, 0.2))
 
 
 def test_oversize_electrode_height_rejected():
     with pytest.raises(GeometryError, match="height"):
-        TankGeometry(electrode_size=(0.2, 1.05)).validate()
+        TankGeometry(electrode_size=(0.2, 1.05))
 
 
 def test_electrode_count_must_be_32():
     with pytest.raises(GeometryError):
-        TankGeometry(layers=3).validate()
+        TankGeometry(layers=3)
 
 
 def test_every_patch_nonempty(tiny_mesh):
@@ -149,13 +149,13 @@ def test_interior_faces_shared_by_two(tiny_mesh):
 
 def test_degenerate_refinement_rejected():
     with pytest.raises(MeshingError):
-        RefinementSpec(near=2.0, far=1.0).validate()
+        RefinementSpec(near=2.0, far=1.0)
     with pytest.raises(MeshingError):
-        RefinementSpec(near=0.4, far=8.0, growth=0.9).validate()
+        RefinementSpec(near=0.4, far=8.0, growth=0.9)
 
 
 @pytest.mark.parametrize("seed", [None, 1.5, -1])
 def test_seed_must_be_a_nonnegative_integer(seed):
     with pytest.raises(MeshingError, match="seed"):
-        RefinementSpec(seed=seed).validate()
-    RefinementSpec(seed=np.int64(3)).validate()
+        RefinementSpec(seed=seed)
+    RefinementSpec(seed=np.int64(3))

@@ -429,8 +429,8 @@ def test_target_outside_the_grid_has_empty_truth(tiny_mesh):
 
 def test_report_refuses_bad_inputs(tiny_mesh):
     img = _truth_image(tiny_mesh, TARGETS[0])
-    for spec in (GridSpec(dims=4), GridSpec(half_width=0.0)):
+    for bad in ({"dims": 4}, {"half_width": 0.0}):
         with pytest.raises(ValueError):
-            full_report(tiny_mesh, img, TARGETS[0], spec=spec)
+            GridSpec(**bad)
     with pytest.raises(DimensionError):
         full_report(tiny_mesh, img[:-1], TARGETS[0], spec=FINE_GRID)

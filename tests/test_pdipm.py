@@ -265,9 +265,9 @@ def test_input_validation(tiny_jacobian, tv):
     with pytest.raises(DimensionError):
         reconstruct_pdipm_batch(tiny_jacobian, tv, np.zeros(5),
                                 PdipmConfig(alpha=1e-3))
-    for bad in (PdipmConfig(alpha=0.0), PdipmConfig(max_iters=0)):
+    for bad in ({"alpha": 0.0}, {"max_iters": 0}):
         with pytest.raises(ValueError):
-            bad.validate()
+            PdipmConfig(**bad)
 
 
 def test_non_finite_inputs_refused(tiny_jacobian, tiny_jacobian_nan, tv,

@@ -226,7 +226,8 @@ class TestTraining:
         monkeypatch.setattr(rbf, "_LADDER", (1.0,))
         monkeypatch.setattr(rbf, "_RIDGE", 0.0)
         cfg = TrainConfig(hidden_count=11)
-        with pytest.raises(SingularGramError, match="raise ridge"):
+        with pytest.raises(SingularGramError,
+                           match="fewer hidden units or more samples"):
             train(inputs, targets, cfg, "postproc", "m", "s")
 
     def test_input_validation(self):
@@ -246,7 +247,7 @@ class TestTraining:
         with pytest.raises(ValueError, match="mode"):
             train(good_x, good_t, cfg, "fancy", "m", "s")
         with pytest.raises(ValueError):
-            TrainConfig(hidden_count=0).validate()
+            TrainConfig(hidden_count=0)
 
     def test_direct_mode_width(self):
         rng = np.random.default_rng(30)
