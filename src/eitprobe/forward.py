@@ -164,11 +164,12 @@ def _factor_spd(matrix: csc_matrix, error: type[Exception]):
 
 @dataclass(eq=False)
 class SparseSystem:
-    """Assembled CEM system for one conductivity field."""
+    """Assembled CEM system for one conductivity field. Node 0 is the
+    ground: its potential is fixed at zero, and the system solved is the
+    matrix less its first row and column."""
 
     mesh: Mesh
     matrix: csc_matrix           # full (n_nodes + n_el) square, symmetric
-    ground_index: int
 
     @property
     def n_nodes(self) -> int:
@@ -176,20 +177,18 @@ class SparseSystem:
 
     @cached_property
     def _reduced(self):
-        n = self.matrix.shape[0]
-        keep = np.arange(n) != self.ground_index
-        reduced = self.matrix[keep][:, keep].tocsc()
-        return reduced, _factor_spd(reduced, SingularSystemError), keep
+        reduced = self.matrix[1:, 1:]
+        return reduced, _factor_spd(reduced, SingularSystemError)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve for the right-hand sides in the columns of ``rhs``; the
-        grounded dof is forced to zero. Raises SolverError on a residual miss."""
+        """Solve for the right-hand sides in the columns of ``rhs``; node 0,
+        the ground, is held at zero. Raises SolverError on a residual miss."""
         b = np.asarray(rhs, dtype=np.float64)
         if b.ndim != 2 or b.shape[0] != self.matrix.shape[0]:
             raise DimensionError(f"right-hand sides must be a matrix of "
                                  f"{self.matrix.shape[0]}-row columns, not {b.shape}")
-        reduced, factor, keep = self._reduced
-        br = b[keep]
+        reduced, factor = self._reduced
+        br = b[1:]
         xr = factor.solve(br)
         if not np.all(np.isfinite(xr)):
             raise SingularSystemError("solve produced non-finite values")
@@ -201,7 +200,7 @@ class SparseSystem:
             raise SolverError(
                 f"relative residual {float(rel.max()):.3e} exceeds {_RESIDUAL_RTOL}")
         x = np.zeros_like(b)
-        x[keep] = xr
+        x[1:] = xr
         return x
 
     def electrode_currents(self, solution: np.ndarray) -> np.ndarray:
@@ -236,11 +235,11 @@ def assemble_system(mesh: Mesh, sigma: np.ndarray,
     # make symmetry exact rather than accurate-to-roundoff
     full = ((full + full.T) * 0.5).tocsc()
 
-    # ground a mesh node, not an electrode: that keeps every electrode
-    # equation inside the reduced system, so computed electrode currents
-    # satisfy conservation to the solver residual rather than to the
-    # (looser) assembly column-sum noise
-    return SparseSystem(mesh=mesh, matrix=full, ground_index=0)
+    # the ground is mesh node 0, not an electrode: that keeps every
+    # electrode equation inside the reduced system, so computed electrode
+    # currents satisfy conservation to the solver residual rather than to
+    # the (looser) assembly column-sum noise
+    return SparseSystem(mesh=mesh, matrix=full)
 
 
 def _injection_rhs(system: SparseSystem, schedule: MeasurementSchedule,
@@ -316,7 +315,6 @@ def _reciprocal_rows(schedule: MeasurementSchedule,
 
 def compute_jacobian(mesh: Mesh, sigma: np.ndarray,
                      pattern: StimPattern, schedule: MeasurementSchedule,
-                     contact_impedance: float = DEFAULT_CONTACT_IMPEDANCE,
                      ) -> Jacobian:
     """Adjoint-method Jacobian: one solve per pattern, combined per element.
 
@@ -327,7 +325,7 @@ def compute_jacobian(mesh: Mesh, sigma: np.ndarray,
     Products commute exactly, so ``matrix[row_index]`` is the same to the
     bit as the matrix computed one row per measurement.
     """
-    system = assemble_system(mesh, sigma, contact_impedance)
+    system = assemble_system(mesh, sigma)
     sols = solve_injections(system, schedule, 1.0)
     w = sols[:mesh.n_nodes, :][mesh.tets, :]                 # (M, 4, P)
     ge = np.einsum("mfp,mfk->mpk", w, mesh.shape_gradients)  # (M, P, 3)

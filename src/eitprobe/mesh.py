@@ -15,6 +15,8 @@ rectangles, so each patch is a fixed set of whole boundary faces.
 A ``Mesh`` owns its geometry, faces included: face areas and the
 interior-face difference operator shared by the TV term and the GN prior.
 It takes no targets; ``TargetSpec.form`` decides what lies inside one.
+Its ``mesh_id`` is the sha256 of the canonical JSON of its geometry,
+nodes, tets and electrode patches.
 """
 
 from __future__ import annotations
@@ -29,9 +31,8 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import GeometryError, MeshingError
-from .ioutil import canonical_json_bytes, sha256_hex
+from .ioutil import hash_of
 
-MESH_FORMAT_VERSION = 1
 # jitter moves a free grid entry by up to this fraction of its smaller gap
 _JITTER_FRAC = 0.15
 
@@ -71,6 +72,10 @@ class TankGeometry:
             raise GeometryError(
                 "layers * electrodes_per_layer must equal 32 "
                 f"(got {self.layers} * {self.electrodes_per_layer})")
+        if len(self.electrode_size) != 2:
+            raise GeometryError(
+                "electrode_size must be (arc length, height) "
+                f"(got {self.electrode_size!r})")
         arc, height = self.electrode_size
         if not (arc > 0 and height > 0):
             raise GeometryError("electrode_size components must be positive and finite")
@@ -134,19 +139,18 @@ class RefinementSpec:
 
 @dataclass(eq=False)
 class Mesh:
-    """Tetrahedral mesh with electrode patch and outer-wall face sets.
+    """Tetrahedral mesh with electrode patch face sets.
 
     ``nodes`` is (n_nodes, 3) float64, ``tets`` (n_elements, 4) int32 with
     positive signed volumes. ``electrodes[k]`` is an (m_k, 3) int32 array of
-    boundary face node triples forming patch k; ``outer_faces`` the faces on
-    the tank side wall.
+    boundary face node triples forming patch k. ``mesh_id`` hashes exactly
+    these four fields.
     """
 
     geometry: TankGeometry
     nodes: np.ndarray
     tets: np.ndarray
     electrodes: list[np.ndarray]
-    outer_faces: np.ndarray
 
     @property
     def n_nodes(self) -> int:
@@ -162,7 +166,12 @@ class Mesh:
 
     @cached_property
     def mesh_id(self) -> str:
-        return sha256_hex(mesh_to_json_bytes(self))
+        return hash_of({
+            "geometry": asdict(self.geometry),
+            "nodes": self.nodes.ravel().tolist(),
+            "tets": self.tets.ravel().tolist(),
+            "electrodes": [p.ravel().tolist() for p in self.electrodes],
+        })
 
     @cached_property
     def volumes(self) -> np.ndarray:
@@ -588,24 +597,4 @@ def build_mesh(geom: TankGeometry, density: RefinementSpec) -> Mesh:
                                "refine the grid or enlarge the patch")
         electrodes.append(patch)
 
-    on_outer = np.all(f_r == n_r - 1, axis=1)
-    outer = np.ascontiguousarray(bfaces[on_outer], dtype=np.int32)
-
-    return Mesh(geometry=geom, nodes=nodes, tets=tets,
-                electrodes=electrodes, outer_faces=outer)
-
-
-# --- identity ----------------------------------------------------------------
-
-
-def mesh_to_json_bytes(mesh: Mesh) -> bytes:
-    """Canonical JSON of the whole mesh; its sha256 is ``Mesh.mesh_id``."""
-    doc = {
-        "version": MESH_FORMAT_VERSION,
-        "geometry": asdict(mesh.geometry),
-        "nodes": mesh.nodes.ravel().tolist(),
-        "tets": mesh.tets.ravel().tolist(),
-        "electrodes": [p.ravel().tolist() for p in mesh.electrodes],
-        "outer_faces": mesh.outer_faces.ravel().tolist(),
-    }
-    return canonical_json_bytes(doc)
+    return Mesh(geometry=geom, nodes=nodes, tets=tets, electrodes=electrodes)

@@ -20,7 +20,8 @@ from eitprobe.datagen import (DATASET_FORMAT, NoiseModel, SampleBounds,
                               reference_frame, sample_target,
                               snr_per_measurement, target_probe_distance)
 from eitprobe.errors import DimensionError, ProvenanceError, SolverError
-from eitprobe.forward import MeasurementSchedule, StimPattern, VoltageFrame
+from eitprobe.forward import (MeasurementSchedule, StimPattern, VoltageFrame,
+                              assemble_system, solve_forward)
 from eitprobe.gn import element_to_nodal
 from eitprobe.ioutil import canonical_json_bytes
 from eitprobe.mesh import TankGeometry
@@ -534,8 +535,11 @@ class TestDataset:
         for i in range(2):
             s = make_sample(i, 1, tiny_mesh_alt, tiny_mesh, tiny_schedule,
                             pattern, None, tiny_rmat, TINY_BOUNDS, v_ref)
-            assert np.array_equal(s.v_noisy.values, s.v_clean.values)
-            assert np.array_equal(data.dv[i], s.v_clean.values - v_ref.values)
+            system = assemble_system(
+                tiny_mesh_alt, rasterize_target(tiny_mesh_alt, s.target))
+            v_clean = solve_forward(system, pattern, tiny_schedule)
+            assert np.array_equal(s.v_noisy.values, v_clean.values)
+            assert np.array_equal(data.dv[i], v_clean.values - v_ref.values)
 
     def test_inverse_crime_guard(self, tmp_path, tiny_mesh, tiny_schedule,
                                  tiny_rmat):

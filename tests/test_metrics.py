@@ -136,8 +136,7 @@ def _kuhn_mesh(cubes: int, edge: float, seed: int) -> Mesh:
     flip = np.linalg.det(p[:, 1:] - p[:, :1]) < 0
     tets[flip] = tets[flip][:, [0, 2, 1, 3]]
     tets = tets[np.random.default_rng(seed).permutation(len(tets))]
-    return Mesh(geometry=TankGeometry(), nodes=nodes, tets=tets,
-                electrodes=[], outer_faces=np.zeros((0, 3), dtype=np.int32))
+    return Mesh(geometry=TankGeometry(), nodes=nodes, tets=tets, electrodes=[])
 
 
 def _traced_peak(build) -> int:

@@ -1,6 +1,7 @@
 """Building a config is its check: each of the ten config classes refuses a
-non-finite number, and an integer field refuses a non-integer, with the
-error type that class raises for other bad values."""
+non-finite number, an integer field refuses a non-integer, and a vector
+field refuses the wrong length, with the error type that class raises for
+other bad values."""
 
 import dataclasses
 import math
@@ -51,6 +52,13 @@ NON_INTEGER = [
     (TrainConfig, "hidden_count", INF, ValueError),
     (TrainConfig, "hidden_count", 200.0, ValueError),
 ]
+# SampleBounds' semi-axes are every target's, so they obey TargetSpec's rule
+WRONG_LENGTH = [
+    (TankGeometry, "electrode_size", (0.2,), GeometryError),
+    (TankGeometry, "electrode_size", (0.2, 0.2, 0.2), GeometryError),
+    (SampleBounds, "semi_axes", (1.0, 2.0), ValueError),
+    (SampleBounds, "semi_axes", (1.0, 2.0, 3.0, 4.0), ValueError),
+]
 
 
 @pytest.mark.parametrize("cls, field, bad, error", NON_FINITE,
@@ -67,6 +75,15 @@ def test_validate_refuses_non_finite(cls, field, bad, error):
 def test_integer_fields_refuse_non_integers(cls, field, bad, error):
     _build(cls)
     with pytest.raises(error, match="integer"):
+        _build(cls, **{field: bad})
+
+
+@pytest.mark.parametrize("cls, field, bad, error", WRONG_LENGTH,
+                         ids=[f"{c.__name__}.{f}={len(b)}"
+                              for c, f, b, _ in WRONG_LENGTH])
+def test_vector_fields_refuse_the_wrong_length(cls, field, bad, error):
+    _build(cls)
+    with pytest.raises(error, match=field):
         _build(cls, **{field: bad})
 
 
