@@ -23,6 +23,7 @@ scale.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -38,6 +39,13 @@ from .mesh import Mesh, TankGeometry
 DEFAULT_AMPLITUDE = 5e-6
 DEFAULT_CONTACT_IMPEDANCE = 0.01
 _RESIDUAL_RTOL = 1e-10
+# Threads that GN's matrix build and PDIPM's CG operator share their dense
+# work over: one per core, at most two. BLAS itself runs on one thread, and
+# each pool splits its work the same way for any count, so the count moves
+# no bit of an image
+_WORKERS = min(2, (len(os.sched_getaffinity(0))
+                   if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)

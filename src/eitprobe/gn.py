@@ -46,7 +46,6 @@ same on any machine.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -57,23 +56,19 @@ from scipy.sparse import csr_matrix
 from scipy.sparse import identity as speye
 
 from .errors import DimensionError, IllConditionedError, ProvenanceError
-from .forward import Jacobian, _factor_spd, _fold_twins
+from .forward import _WORKERS, Jacobian, _factor_spd, _fold_twins
 from .ioutil import hash_of
 from .mesh import Mesh
 
 DEFAULT_LAMBDA = 0.03
 _PRIOR_RIDGE = 1e-8
-# Jacobian rows per solve block of the matrix build, and the threads that
-# run the blocks. The working set is workers x width x three element-length
-# arrays (3.6 MB each on the desk mesh at 16), and peak memory grows with it
-# (the desk build alone peaks at 344 MB with 32 columns in flight, 417 MB
-# with 128); a solve's cost per column is flat in the width. So two workers
-# of 16 hold the 32 columns one worker held, and more would need narrower
-# blocks
+# Jacobian rows per solve block of the matrix build. The working set is
+# ``_WORKERS`` x width x three element-length arrays (3.6 MB each on the
+# desk mesh at 16), and peak memory grows with it (the desk build alone
+# peaks at 344 MB with 32 columns in flight, 417 MB with 128); a solve's
+# cost per column is flat in the width. So two workers of 16 hold the 32
+# columns one worker held, and more would need narrower blocks
 _BLOCK_COLUMNS = 16
-_WORKERS = min(2, (len(os.sched_getaffinity(0))
-                   if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)

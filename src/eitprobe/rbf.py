@@ -171,6 +171,8 @@ def train(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig,
         raise DimensionError("inputs and targets must be 2-d sample matrices")
     if inputs.shape[0] != targets.shape[0]:
         raise DimensionError("inputs and targets disagree on sample count")
+    if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(targets))):
+        raise ValueError("inputs and targets must be finite everywhere")
     n = inputs.shape[0]
     if n < 10:
         raise ValueError("training needs at least 10 samples")
@@ -235,6 +237,8 @@ def predict(model: RbfModel, inputs: np.ndarray, mesh: Mesh) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise DimensionError(
             f"expected {model.input_dim} inputs, got {x.shape[-1]}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("inputs must be finite everywhere")
     xn = (x - model.input_mean) / model.input_scale
     out = _design(xn, model.centers, model.spread) @ model.output_weights
     out += model.output_bias

@@ -1,10 +1,15 @@
 import math
+import sys
+import threading
+import time
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from eitprobe import pdipm
 from eitprobe.datagen import NoiseModel, add_noise
 from eitprobe.errors import DimensionError, IllConditionedError, ProvenanceError
 from eitprobe.forward import (StimPattern, VoltageFrame, assemble_system,
@@ -231,6 +236,60 @@ def test_batch_agrees_with_single_runs(tiny_mesh, tiny_jacobian, tv, ball_dv):
         xs, ts = reconstruct_pdipm_batch(tiny_jacobian, tv, batch[:, k], cfg)
         assert np.array_equal(xb[:, k], xs[:, 0])
         assert tb[k].objective == ts[0].objective
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_images_do_not_depend_on_the_workers(tiny_jacobian, tv, ball_dv,
+                                             solved, workers, monkeypatch):
+    # the chunks are the same whichever thread computes each one; with one
+    # worker there is no pool and the caller computes them all. Switching
+    # often interleaves the two threads' claims and makes the caller wait
+    # on, or compute again, chunks the worker holds
+    monkeypatch.setattr(pdipm, "_WORKERS", workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        images, traces = reconstruct_pdipm_batch(
+            tiny_jacobian, tv, ball_dv, PdipmConfig(alpha=1e-3, max_iters=25))
+    finally:
+        sys.setswitchinterval(interval)
+    x, trace = solved
+    assert np.array_equal(images[:, 0], x)
+    for name in ("objective", "cg_iters", "cg_resid", "shrinks"):
+        assert getattr(traces[0], name) == getattr(trace, name)
+
+
+def test_a_stalled_worker_holds_back_no_chunk():
+    # the worker claims one chunk and then stalls; the caller computes the
+    # rest, waits about one of its own chunks, and computes that one too
+    main = threading.get_ident()
+    claimed, release = threading.Event(), threading.Event()
+
+    def chunk(c):
+        if threading.get_ident() != main:
+            claimed.set()
+            release.wait(10.0)
+        else:
+            claimed.wait(10.0)
+        return np.arange(100.0)[c] * 3.0
+
+    with ThreadPoolExecutor(1) as pool:
+        start = time.perf_counter()
+        got = pdipm._shared(pool, chunk, pdipm._chunks(100))
+        took = time.perf_counter() - start
+        release.set()
+    assert claimed.is_set()
+    assert np.array_equal(got, np.arange(100.0) * 3.0)
+    assert took < 5.0
+
+
+def test_chunks_cover_the_range_on_multiples_of_8():
+    for n in (0, 7, 100, 464, 6240):
+        chunks = pdipm._chunks(n)
+        assert len(chunks) == pdipm._CHUNKS
+        assert np.array_equal(np.concatenate(
+            [np.arange(n)[c] for c in chunks]), np.arange(n))
+        assert all(c.start % 8 == 0 for c in chunks)
 
 
 def test_batch_rerun_bit_identical(tiny_jacobian, tv, ball_dv):

@@ -249,6 +249,18 @@ class TestTraining:
         with pytest.raises(ValueError):
             TrainConfig(hidden_count=0)
 
+    def test_non_finite_inputs_refused(self):
+        rng = np.random.default_rng(0)
+        cfg = TrainConfig(hidden_count=5)
+        x = rng.normal(size=(20, 6))
+        x[3, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            train(x, rng.normal(size=(20, 3)), cfg, "postproc", "m", "s")
+        t = rng.normal(size=(20, 3))
+        t[7, 1] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            train(rng.normal(size=(20, 6)), t, cfg, "postproc", "m", "s")
+
     def test_direct_mode_width(self):
         rng = np.random.default_rng(30)
         inputs = rng.normal(size=(12, 928))
@@ -297,6 +309,15 @@ class TestPredict:
         model, _ = memo_model
         with pytest.raises(DimensionError):
             predict(model, inputs[0, :7], tiny_mesh)
+
+    def test_non_finite_input_refused(self, memo_data, memo_model,
+                                      tiny_mesh):
+        inputs, _ = memo_data
+        model, _ = memo_model
+        x = inputs[0].copy()
+        x[4] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            predict(model, x, tiny_mesh)
 
     def test_output_size_must_match_mesh(self, tiny_mesh):
         rng = np.random.default_rng(2)
