@@ -13,7 +13,10 @@ identity
 so only the sparse prior S and a dense block over the measurements are
 ever factorized; an element-by-element dense matrix is never formed. Both
 are SPD: the dense block is Cholesky-factorized, and S is factorized by
-SuperLU in symmetric mode with diagonal pivoting.
+SuperLU in symmetric mode with diagonal pivoting (``_factor_spd``). S is the
+package's only SuperLU system: S couples elements across faces, with no
+banded order at hand, while the forward solver factors its CEM systems by
+the mesh's layer order (``forward._BorderedCholesky``).
 
 Reciprocal twins share a Jacobian row (see ``forward.Jacobian``): U = Ud P'
 with P the measurement-to-row expansion and P'P = C = diag(counts), so
@@ -52,11 +55,12 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse import identity as speye
+from scipy.sparse.linalg import splu
 
 from .errors import DimensionError, IllConditionedError, ProvenanceError
-from .forward import _WORKERS, Jacobian, _factor_spd, _fold_twins
+from .forward import _WORKERS, Jacobian, _fold_twins
 from .ioutil import hash_of
 from .mesh import Mesh
 
@@ -98,6 +102,17 @@ class ReconstructionMatrix:
     @cached_property
     def config_hash(self) -> str:
         return hash_of(asdict(self.config))
+
+
+def _factor_spd(matrix: csc_matrix, error: type[Exception]):
+    """SuperLU factor of a sparse SPD matrix in symmetric mode: minimum
+    degree ordering on A'+A and diagonal pivots, so no row is swapped and
+    the fill stays that of the ordering. A zero pivot raises ``error``."""
+    try:
+        return splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise error(f"sparse SPD factorization failed: {exc}") from exc
 
 
 def smoothness_prior(mesh: Mesh):

@@ -8,22 +8,25 @@ import scipy.linalg as sla
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
+from eitprobe import gn
 from eitprobe.datagen import TargetSpec, rasterize_target
-from eitprobe.errors import DimensionError, SingularSystemError
+from eitprobe.errors import (DimensionError, IllConditionedError,
+                             SingularSystemError)
 from eitprobe.forward import (DEFAULT_CONTACT_IMPEDANCE, SparseSystem,
                               StimPattern, assemble_system, compute_jacobian,
                               homogeneous_field, solve_forward,
                               solve_injections, write_frame_csv)
-from eitprobe.mesh import _face_areas
-from eitprobe.mesh import Mesh
+from eitprobe.mesh import Mesh, RefinementSpec, TankGeometry, _face_areas
+from eitprobe.mesh import build_mesh
 
 SIGMA_REF = 0.15
 
 # Recorded once from the tiny-mesh homogeneous solve; guards the whole
 # forward chain (grid, assembly, ordering, factorization) bit-for-bit. The
-# factorization is SuperLU's symmetric mode: MMD_AT_PLUS_A ordering with
-# diagonal pivots (diag_pivot_thresh=0), and one solve per right-hand side.
-TINY_FRAME_SHA256 = "8308341e71068744037a38f5aaa7fb28841b10f1d7420e124daabac55762e76c"
+# factorization is the block Cholesky of the layer-banded node blocks and
+# the electrode border, with OpenBLAS 0.3.31's LAPACK and BLAS; the digest
+# is the same on one BLAS thread and on two.
+TINY_FRAME_SHA256 = "bd3bbacb1e874264a221696631e752471823678ccba40d1f48ce386599b5647b"
 
 
 @pytest.fixture(scope="module")
@@ -190,10 +193,64 @@ def test_solve_matches_dense_oracle(tiny_mesh, tiny_system, tiny_schedule):
     assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
-def test_factor_fill_no_worse_than_unsymmetric_mmd(tiny_system):
-    reduced, factor = tiny_system._reduced
-    oracle = splu(reduced, permc_spec="MMD_AT_PLUS_A")
+def test_factor_fill_no_worse_than_unsymmetric_mmd(tiny_mesh):
+    # GN's prior is the one system SuperLU still factors: its symmetric
+    # mode must fill no more than the unsymmetric one on the same ordering
+    prior = gn.smoothness_prior(tiny_mesh)
+    factor = gn._factor_spd(prior, IllConditionedError)
+    oracle = splu(prior, permc_spec="MMD_AT_PLUS_A")
     assert factor.L.nnz + factor.U.nnz <= oracle.L.nnz + oracle.U.nnz
+
+
+def _dense_factor(factor):
+    """The block factor written out as one dense lower triangle, less the
+    padding of its last node block."""
+    b, m = factor.width, factor.n_nodes
+    p = len(factor.blocks) // 2 + 1
+    n_el = factor.schur.shape[0]
+    low = np.zeros((p * b + n_el, p * b + n_el))
+    for k in range(p):
+        s = slice(k * b, (k + 1) * b)
+        low[s, s] = np.tril(factor.blocks[2 * k].T)
+        if k + 1 < p:
+            low[(k + 1) * b:(k + 2) * b, s] = factor.blocks[2 * k + 1].T
+        low[p * b:, s] = factor.border[k]
+    low[p * b:, p * b:] = np.tril(factor.schur)
+    keep = np.r_[0:m, p * b:p * b + n_el]
+    return low[np.ix_(keep, keep)]
+
+
+def test_block_factor_matches_the_dense_matrix(tiny_mesh_alt):
+    # the tiny generation mesh with a contrast target: L L' rebuilds the
+    # grounded matrix, and a solve with node and electrode rows set matches
+    # the dense solve
+    target = TargetSpec(center=(2.5, 0.0, 0.0), semi_axes=(1.0, 1.5, 2.0))
+    sigma = rasterize_target(tiny_mesh_alt, target)
+    assert 0 < np.count_nonzero(sigma == target.sigma_in) < sigma.size
+    reduced, factor = assemble_system(tiny_mesh_alt, sigma)._reduced
+    dense = reduced.toarray()
+    low = _dense_factor(factor)
+    assert np.abs(low @ low.T - dense).max() <= 1e-13 * np.abs(dense).max()
+    rhs = np.random.default_rng(2).standard_normal((dense.shape[0], 3))
+    expect = sla.solve(dense, rhs, assume_a="pos")
+    got = factor.solve(rhs)
+    assert np.abs(got - expect).max() <= 1e-10 * np.abs(expect).max()
+
+
+def test_block_width_is_the_half_bandwidth_of_the_generation_meshes():
+    # one layer plus two rings less one node; the factor holds 2 n b
+    # doubles, less one block, with n padded to a multiple of b, so these
+    # widths pin its memory
+    for geom, spec, width in [
+            (TankGeometry(tank_height=16.0),
+             RefinementSpec(near=1.2, far=12.0, growth=2.2, seed=5), 127),
+            (TankGeometry(), RefinementSpec(near=0.3, seed=1), 287)]:
+        mesh = build_mesh(geom, spec)
+        system = assemble_system(mesh, homogeneous_field(mesh, SIGMA_REF))
+        reduced, factor = system._reduced
+        nodes = reduced[:mesh.n_nodes - 1, :mesh.n_nodes - 1].tocoo()
+        assert factor.width == width == np.abs(nodes.row - nodes.col).max()
+        assert factor.blocks.size <= 2 * (mesh.n_nodes + width) * width
 
 
 def test_zero_pivot_raises_singular_system_error(tiny_mesh, tiny_system):
@@ -206,6 +263,22 @@ def test_zero_pivot_raises_singular_system_error(tiny_mesh, tiny_system):
     rhs = np.zeros((matrix.shape[0], 1))
     rhs[tiny_mesh.n_nodes], rhs[tiny_mesh.n_nodes + 1] = 1.0, -1.0
     with pytest.raises(SingularSystemError, match="factorization"):
+        broken.solve(rhs)
+
+
+def test_electrode_without_admittance_raises_singular_system_error(
+        tiny_mesh, tiny_system):
+    # electrode 3 cut off, its coupling and its diagonal zeroed: the node
+    # block still factors, and the zero pivot shows up in the border's
+    # Schur complement
+    matrix = tiny_system.matrix.tolil()
+    e = tiny_mesh.n_nodes + 3
+    matrix[e, :] = 0.0
+    matrix[:, e] = 0.0
+    broken = SparseSystem(mesh=tiny_mesh, matrix=matrix.tocsc())
+    rhs = np.zeros((matrix.shape[0], 1))
+    rhs[tiny_mesh.n_nodes], rhs[tiny_mesh.n_nodes + 1] = 1.0, -1.0
+    with pytest.raises(SingularSystemError, match="factorization.*border"):
         broken.solve(rhs)
 
 
