@@ -556,6 +556,8 @@ def load_training_arrays(path: str | Path,
     manifest = load_manifest(root)
     if manifest["schedule_id"] != schedule.schedule_id:
         raise ProvenanceError("dataset was generated for another schedule")
+    if not manifest["targets"]:
+        raise DimensionError("dataset holds no samples")
     samples = [[read_f64(root / _sample_dirname(i) / name)
                 for name in ("dv.f64", "gn_image.f64", "truth.f64")]
                for i in range(len(manifest["targets"]))]

@@ -11,14 +11,14 @@ The factorization keeps the mesh's own order. ``build_mesh`` numbers nodes
 layer by layer and ring by ring, so the numbers of two coupled nodes differ
 by at most one layer plus two rings less one (a ring's last cell wraps
 round to its first node): the node block is banded, with a half-bandwidth b
-of 127 on the tiny test meshes and 287 on the desk generation mesh. The nodes are cut into consecutive blocks of width b, read
-from the assembled pattern; each block couples only to its two neighbours,
-so the factor is block bidiagonal and is computed block by block with
-LAPACK's ``dpotrf`` and BLAS's ``dtrsm`` and ``dsyrk``. The 32 electrode
-unknowns couple to nodes in many blocks; they are a dense border,
+of 127 on the tiny test meshes and 287 on the desk generation mesh, read
+from the assembled pattern. It is held in LAPACK's lower band storage and
+factored by LAPACK's band Cholesky ``dpbtrf``, which runs level-3 BLAS
+inside the band; ``dtbtrs`` sweeps through the factor. The 32 electrode
+unknowns couple to nodes all along the band; they are a dense border,
 eliminated last through their 32-by-32 Schur complement. The factor costs
-about (7/3) n b^2 flops for n nodes and holds about 2 n b doubles, 31 MB on
-the desk generation mesh; each right-hand side costs about 6 n b more.
+about n b^2 flops for n nodes and holds (b + 1) n doubles, 15.6 MB on the
+desk generation mesh; each right-hand side costs about 4 n b more.
 
 Assembly computes per call only the values that scale with the
 conductivity or the contact impedance. The sparsity pattern, the element
@@ -41,8 +41,8 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg.blas import dgemm, dsyrk, dtrsm
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dpbtrf, dpotrf, dpotrs, dtbtrs
 from scipy.sparse import coo_matrix, csc_matrix
 
 from .errors import DimensionError, SingularSystemError, SolverError
@@ -176,17 +176,19 @@ class _BorderedCholesky:
     """Cholesky factor L of a grounded CEM matrix: a banded node block, then
     the electrode unknowns as a dense border.
 
-    The node unknowns are cut, in their own order, into consecutive blocks
-    as wide as the node block's half-bandwidth b, so each block couples only
-    to its two neighbours and L's node part is block bidiagonal.
-    ``blocks[2k]`` holds the diagonal factor L_kk and ``blocks[2k + 1]`` the
-    block L_k+1,k below it; each is stored transposed in C order, so its
-    ``.T`` is the Fortran-ordered block that LAPACK and BLAS update in
-    place. ``border[k]`` holds block k of W' = (L_nodes^-1 B)', with B the
-    node-electrode coupling, and ``schur`` the factor of the electrode
-    Schur complement E - W'W. The last node block is padded with unit
-    diagonal entries, which couple to nothing. A pivot that is not positive
-    raises SingularSystemError.
+    ``band`` holds the node block's factor L_n in LAPACK's lower band
+    storage: entry (r, c) of L_n, for 0 <= r - c <= b, sits at
+    ``band[r - c, c]``, so the factor is (b + 1) n doubles for n nodes and
+    half-bandwidth b, read from the assembled pattern. LAPACK's ``dpbtrf``
+    computes it in place, blocked so that the work inside the band is
+    level-3 BLAS, in about n b^2 flops. ``border`` holds W = L_n^-1 B, with
+    B the node-electrode coupling, and ``schur`` the factor of the
+    electrode Schur complement E - W'W. A pivot that is not positive raises
+    SingularSystemError.
+
+    An injection puts current on electrodes only, so its node rows are all
+    zero and so is their forward sweep L_n^-1 b_n; ``solve`` sets it to zero
+    without a call, which leaves a measurement frame one sweep per column.
     """
 
     def __init__(self, matrix: csc_matrix, n_border: int) -> None:
@@ -195,87 +197,39 @@ class _BorderedCholesky:
         nodes.sum_duplicates()
         keep = nodes.row >= nodes.col
         rows, cols = nodes.row[keep], nodes.col[keep]
-        b = max(1, int((rows - cols).max(initial=0)))
-        p = -(-m // b)
-        self.width, self.n_nodes = b, m
-        # entry (r, c) of block i sits at blocks[i, c, r]; a lower-triangle
-        # entry in block column k lies in block 2k or 2k + 1
-        blocks = np.zeros((2 * p - 1, b, b))
-        k, c = np.divmod(cols, b)
-        blocks.reshape(-1)[((k + rows // b) * b + c) * b
-                           + rows % b] = nodes.data[keep]
-        pad = np.arange(m, p * b) - (p - 1) * b
-        blocks[-1, pad, pad] = 1.0
-        self.blocks = blocks
-        for k in range(p):
-            diag = blocks[2 * k].T
-            if k:
-                dsyrk(-1.0, blocks[2 * k - 1].T, beta=1.0, c=diag, lower=1,
-                      overwrite_c=1)
-            _potrf(diag, f"node block {k}")
-            if k + 1 < p:
-                dtrsm(1.0, diag, blocks[2 * k + 1].T, side=1, lower=1,
-                      trans_a=1, overwrite_b=1)
-        self.border = self._blocked(matrix[:m, m:].toarray())
-        self._forward(self.border)
+        band = np.zeros((int((rows - cols).max(initial=0)) + 1, m), order="F")
+        band[rows - cols, cols] = nodes.data[keep]
+        self.band, info = dpbtrf(band, lower=1, overwrite_ab=1)
+        _check_pivots(info, "the node block")
+        self.border = self._sweep(matrix[:m, m:].toarray())
         schur = np.asfortranarray(matrix[m:, m:].toarray())
-        for w in self.border:
-            dsyrk(-1.0, w.T, beta=1.0, c=schur, trans=1, lower=1,
-                  overwrite_c=1)
-        self.schur = _potrf(schur, "the electrode border")
+        dsyrk(-1.0, self.border, beta=1.0, c=schur, trans=1, lower=1,
+              overwrite_c=1)
+        _, info = dpotrf(schur, lower=1, clean=0, overwrite_a=1)
+        _check_pivots(info, "the electrode border")
+        self.schur = schur
 
-    def _blocked(self, nodal: np.ndarray) -> np.ndarray:
-        """A copy of node rows as (blocks, columns, b): the ``.T`` of entry
-        k is block k's rows, Fortran-ordered; the padding rows are zero."""
-        b, p = self.width, len(self.blocks) // 2 + 1
-        padded = np.zeros((p * b, nodal.shape[1]))
-        padded[:self.n_nodes] = nodal
-        return np.ascontiguousarray(
-            padded.reshape(p, b, -1).transpose(0, 2, 1))
-
-    def _forward(self, y: np.ndarray) -> None:
-        """y <- L_nodes^-1 y in place. It starts at the first block with a
-        nonzero row, since every block before it stays zero: the border
-        begins at the lowest electrode, an injection's node rows are zero."""
-        nonzero = np.flatnonzero(y.any(axis=(1, 2)))
-        for k in range(nonzero[0] if nonzero.size else len(y), len(y)):
-            if k:
-                dgemm(-1.0, self.blocks[2 * k - 1].T, y[k - 1].T, beta=1.0,
-                      c=y[k].T, overwrite_c=1)
-            dtrsm(1.0, self.blocks[2 * k].T, y[k].T, lower=1, overwrite_b=1)
+    def _sweep(self, y: np.ndarray, trans: str = "N") -> np.ndarray:
+        """L_n^-1 y, or L_n'^-1 y with ``trans="T"``."""
+        return dtbtrs(self.band, y, uplo="L", trans=trans)[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The solution for each column of ``rhs``, by block forward
-        substitution, the border's two triangular solves and block back
-        substitution. ``rhs`` is not written to."""
-        m, blocks, border = self.n_nodes, self.blocks, self.border
-        x = self._blocked(rhs[:m])
-        self._forward(x)
-        xe = np.array(rhs[m:], order="F")
-        for w, xk in zip(border, x):
-            dgemm(-1.0, w.T, xk.T, beta=1.0, c=xe, trans_a=1, overwrite_c=1)
-        dtrsm(1.0, self.schur, xe, lower=1, overwrite_b=1)
-        dtrsm(1.0, self.schur, xe, lower=1, trans_a=1, overwrite_b=1)
-        for k in range(len(x) - 1, -1, -1):
-            xk = x[k].T
-            dgemm(-1.0, border[k].T, xe, beta=1.0, c=xk, overwrite_c=1)
-            if k + 1 < len(x):
-                dgemm(-1.0, blocks[2 * k + 1].T, x[k + 1].T, beta=1.0, c=xk,
-                      trans_a=1, overwrite_c=1)
-            dtrsm(1.0, blocks[2 * k].T, xk, lower=1, trans_a=1, overwrite_b=1)
-        return np.vstack([x.transpose(0, 2, 1).reshape(-1, xe.shape[1])[:m],
-                          xe])
+        """The solution for each column of ``rhs``, by a forward sweep
+        through the node block, the border's Schur solve and a back sweep.
+        ``rhs`` is not written to."""
+        m, border = self.band.shape[1], self.border
+        nodal = rhs[:m]
+        y = self._sweep(nodal) if nodal.any() else np.zeros_like(nodal)
+        xe = dpotrs(self.schur, rhs[m:] - border.T @ y, lower=1)[0]
+        return np.vstack([self._sweep(y - border @ xe, "T"), xe])
 
 
-def _potrf(a: np.ndarray, what: str) -> np.ndarray:
-    """Cholesky factor of the lower triangle of the Fortran-ordered ``a``,
-    in place."""
-    _, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
+def _check_pivots(info: int, what: str) -> None:
+    """Raise SingularSystemError for a Cholesky factorization's ``info``."""
     if info != 0:
         raise SingularSystemError(
             f"factorization failed: a pivot of {what} is not positive "
             f"(LAPACK info {info})")
-    return a
 
 
 @dataclass(eq=False)
@@ -283,9 +237,10 @@ class SparseSystem:
     """Assembled CEM system for one conductivity field. Node 0 is the
     ground: its potential is fixed at zero, and the system solved is the
     matrix less its first row and column. That system is factorized, on the
-    first solve, into layer-banded node blocks of the half-bandwidth b and
-    a dense border of the electrode unknowns (``_BorderedCholesky``):
-    about (7/3) n b^2 flops and 2 n b doubles for n nodes."""
+    first solve, by LAPACK's band Cholesky of the layer-banded node block,
+    with the electrode unknowns as a dense border (``_BorderedCholesky``):
+    about n b^2 flops and (b + 1) n doubles for n nodes and half-bandwidth
+    b."""
 
     mesh: Mesh
     matrix: csc_matrix           # full (n_nodes + n_el) square, symmetric

@@ -236,7 +236,7 @@ def predict(model: RbfModel, inputs: np.ndarray, mesh: Mesh) -> np.ndarray:
     x = inputs[None, :] if single else inputs
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise DimensionError(
-            f"expected {model.input_dim} inputs, got {x.shape[-1]}")
+            f"expected {model.input_dim} inputs, not shape {inputs.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("inputs must be finite everywhere")
     xn = (x - model.input_mean) / model.input_scale

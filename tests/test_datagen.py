@@ -641,6 +641,16 @@ class TestDataset:
         with pytest.raises(ValueError, match="unsupported dataset version"):
             load_training_arrays(tmp_path, tiny_schedule)
 
+    def test_empty_dataset_refused(self, tmp_path, tiny_dataset,
+                                   tiny_schedule):
+        root = tmp_path / "copy"
+        shutil.copytree(tiny_dataset[0], root)
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["targets"] = []
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DimensionError, match="no samples"):
+            load_training_arrays(root, tiny_schedule)
+
     def test_load_with_wrong_schedule(self, tiny_dataset, tiny_schedule):
         root, _ = tiny_dataset
         shifted = MeasurementSchedule(

@@ -23,10 +23,10 @@ SIGMA_REF = 0.15
 
 # Recorded once from the tiny-mesh homogeneous solve; guards the whole
 # forward chain (grid, assembly, ordering, factorization) bit-for-bit. The
-# factorization is the block Cholesky of the layer-banded node blocks and
-# the electrode border, with OpenBLAS 0.3.31's LAPACK and BLAS; the digest
-# is the same on one BLAS thread and on two.
-TINY_FRAME_SHA256 = "bd3bbacb1e874264a221696631e752471823678ccba40d1f48ce386599b5647b"
+# factorization is LAPACK's band Cholesky of the node block (dpbtrf, with
+# dtbtrs sweeps) and the electrode border, with OpenBLAS 0.3.31's LAPACK
+# and BLAS; the digest is the same on one BLAS thread and on two.
+TINY_FRAME_SHA256 = "2c7eeab8385ee177d055e5f6e48ac8d830100a75341392553bbecc6e972905a0"
 
 
 @pytest.fixture(scope="module")
@@ -203,21 +203,16 @@ def test_factor_fill_no_worse_than_unsymmetric_mmd(tiny_mesh):
 
 
 def _dense_factor(factor):
-    """The block factor written out as one dense lower triangle, less the
-    padding of its last node block."""
-    b, m = factor.width, factor.n_nodes
-    p = len(factor.blocks) // 2 + 1
+    """The bordered factor written out as one dense lower triangle."""
+    b, m = factor.band.shape[0] - 1, factor.band.shape[1]
     n_el = factor.schur.shape[0]
-    low = np.zeros((p * b + n_el, p * b + n_el))
-    for k in range(p):
-        s = slice(k * b, (k + 1) * b)
-        low[s, s] = np.tril(factor.blocks[2 * k].T)
-        if k + 1 < p:
-            low[(k + 1) * b:(k + 2) * b, s] = factor.blocks[2 * k + 1].T
-        low[p * b:, s] = factor.border[k]
-    low[p * b:, p * b:] = np.tril(factor.schur)
-    keep = np.r_[0:m, p * b:p * b + n_el]
-    return low[np.ix_(keep, keep)]
+    low = np.zeros((m + n_el, m + n_el))
+    for d in range(b + 1):
+        c = np.arange(m - d)
+        low[c + d, c] = factor.band[d, :m - d]
+    low[m:, :m] = factor.border.T
+    low[m:, m:] = np.tril(factor.schur)
+    return low
 
 
 def test_block_factor_matches_the_dense_matrix(tiny_mesh_alt):
@@ -238,9 +233,8 @@ def test_block_factor_matches_the_dense_matrix(tiny_mesh_alt):
 
 
 def test_block_width_is_the_half_bandwidth_of_the_generation_meshes():
-    # one layer plus two rings less one node; the factor holds 2 n b
-    # doubles, less one block, with n padded to a multiple of b, so these
-    # widths pin its memory
+    # one layer plus two rings less one node; the factor holds (b + 1) n
+    # doubles in band storage, so these widths pin its memory
     for geom, spec, width in [
             (TankGeometry(tank_height=16.0),
              RefinementSpec(near=1.2, far=12.0, growth=2.2, seed=5), 127),
@@ -249,8 +243,8 @@ def test_block_width_is_the_half_bandwidth_of_the_generation_meshes():
         system = assemble_system(mesh, homogeneous_field(mesh, SIGMA_REF))
         reduced, factor = system._reduced
         nodes = reduced[:mesh.n_nodes - 1, :mesh.n_nodes - 1].tocoo()
-        assert factor.width == width == np.abs(nodes.row - nodes.col).max()
-        assert factor.blocks.size <= 2 * (mesh.n_nodes + width) * width
+        assert width == np.abs(nodes.row - nodes.col).max()
+        assert factor.band.shape == (width + 1, mesh.n_nodes - 1)
 
 
 def test_zero_pivot_raises_singular_system_error(tiny_mesh, tiny_system):
@@ -262,7 +256,7 @@ def test_zero_pivot_raises_singular_system_error(tiny_mesh, tiny_system):
     broken = SparseSystem(mesh=tiny_mesh, matrix=matrix.tocsc())
     rhs = np.zeros((matrix.shape[0], 1))
     rhs[tiny_mesh.n_nodes], rhs[tiny_mesh.n_nodes + 1] = 1.0, -1.0
-    with pytest.raises(SingularSystemError, match="factorization"):
+    with pytest.raises(SingularSystemError, match="factorization.*node block"):
         broken.solve(rhs)
 
 

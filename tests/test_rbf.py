@@ -307,8 +307,9 @@ class TestPredict:
     def test_wrong_input_width(self, memo_data, memo_model, tiny_mesh):
         inputs, _ = memo_data
         model, _ = memo_model
-        with pytest.raises(DimensionError):
-            predict(model, inputs[0, :7], tiny_mesh)
+        for x in (inputs[0, :7], inputs[0, 0]):
+            with pytest.raises(DimensionError):
+                predict(model, x, tiny_mesh)
 
     def test_non_finite_input_refused(self, memo_data, memo_model,
                                       tiny_mesh):
