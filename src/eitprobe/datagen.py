@@ -1,20 +1,13 @@
 """Randomized ellipsoidal targets, distance-graded noise, dataset packaging.
 
-Targets are ellipsoids dropped around the probe: a uniform azimuth and
-height pick the direction, a uniform edge-to-edge distance picks how far
-the surface sits from the probe, and a uniform random rotation orients
-the body. The edge-to-edge distance between the ellipsoid and the finite
-probe cylinder is computed by alternating projections between the two
-convex bodies, with an Aitken step that jumps ahead along the path when
-its steps shrink geometrically and is kept only when it brings the bodies'
-points closer. Each iterate pairs a point of each body, so the pair gap
-stays an upper bound, and supporting hyperplanes give a lower bound; a
-distance is certified by the two agreeing to 1e-10, and one that is not
-raises ``SolverError``. The center radius realizing a requested distance
-is found by Brent's method on the bracket [0, hi], which is sound because
-the distance is convex in the radius and grows with it once the bodies
-part. The radius returned reaches the requested distance, and one
-bisection width 2**-48 hi below it falls short.
+Targets are ellipsoids dropped around the probe: a uniform azimuth and a
+height uniform over the electrode section pick the direction, a uniform
+edge-to-edge distance to the probe's bore picks how far the surface sits,
+and a uniform random rotation orients the body. The bore is the cylinder
+the mesh has through the whole tank, so the distance is that of the
+z-axis from the ellipsoid's shadow on the xy-plane less the bore radius,
+certified to 1e-10 by a 2-D Newton root or refused with ``SolverError``.
+Brent's method finds the center radius that realizes a requested distance.
 
 Measurement noise is zero-mean Gaussian per channel with an SNR that
 falls linearly in dB as the measuring pair moves away from the driving
@@ -50,8 +43,6 @@ from .mesh import Mesh, TankGeometry
 DEFAULT_SEMI_AXES = (4.0, 6.0, 9.0)
 DEFAULT_SIGMA_IN = 0.3
 DEFAULT_SIGMA_BG = 0.15
-# target centers are drawn uniformly in height from [-_Z_BAND, _Z_BAND]
-_Z_BAND = 2.0
 
 DATASET_FORMAT = "eitprobe-dataset"
 DATASET_VERSION = 2
@@ -105,8 +96,8 @@ class TargetSpec:
 @dataclass(frozen=True)
 class SampleBounds:
     """Largest edge-to-edge distance and semi-axes of random targets, placed
-    around the mesh's own probe (``TankGeometry``). Center heights within
-    ``_Z_BAND`` and the default conductivities are fixed."""
+    around the mesh's own probe bore (``TankGeometry``). Center heights span
+    its electrode section; the default conductivities are fixed."""
 
     max_distance: float = 10.0
     semi_axes: tuple = DEFAULT_SEMI_AXES
@@ -118,149 +109,76 @@ class SampleBounds:
         TargetSpec(center=(0.0, 0.0, 0.0), semi_axes=self.semi_axes)
 
 
-# the kernel's certification width and its iteration cap
+# the kernel's certification width and its Newton step cap
 _EDGE_TOL = 1e-10
-_EDGE_ITERS = 3000
-# an extrapolation is tried when the last two displacements of the
-# ellipsoid point have a cosine above _AITKEN_COS; its step is capped at
-# _AITKEN_MAX displacements
-_AITKEN_COS = 0.99
-_AITKEN_MAX = 1000.0
+_NEWTON_ITERS = 100
 
 
-def _edge_bounds(rot: np.ndarray, center, semi_axes, radius: float,
-                 half_h: float) -> tuple:
-    """Extrapolated alternating projections between an ellipsoid and the
-    solid finite cylinder; returns ``(lower, upper, iterations)``.
+def _bore_bounds(rot: np.ndarray, cx: float, cy: float, semi_axes,
+                 radius: float) -> tuple:
+    """Bounds ``(lower, upper, steps)`` on the distance between an ellipsoid
+    centered over (cx, cy) and the bore of ``radius`` about the z-axis.
 
-    Each iteration projects the cylinder point onto the ellipsoid and that
-    point back onto the cylinder. The pair gap is an upper bound on the
-    distance. The supporting hyperplanes of the two bodies normal to the
-    pair direction give a lower bound, and so do those normal to its
-    horizontal part while the cylinder point lies on the barrel, where the
-    cylinder's support function has a kink. Iteration stops when the bounds
-    agree to ``_EDGE_TOL``, or after ``_EDGE_ITERS`` iterations with the
-    bounds further apart.
-
-    Near a tangential touch plain alternating projections creep along a
-    nearly straight path with a step ratio close to one (Bauschke &
-    Borwein, *SIAM Review* 38(3), 1996). When the last two displacements
-    of the ellipsoid point are nearly parallel and shrinking by a ratio
-    rho < 1, an Aitken step jumps rho/(1 - rho) displacements further
-    along the path, the sum of its geometric tail, and projects the result
-    back onto the ellipsoid (Gearhart & Koshy, *J. Comput. Appl. Math.*
-    26(3), 1989). The jump is kept only if the new point lies closer to the
-    cylinder than the plain one. Every iterate is thus a point of the
-    ellipsoid paired with a point of the cylinder, so the gap stays an
-    upper bound; and the support-function bound holds along any direction,
-    so the lower bound stays rigorous too. ``iterations`` counts the
-    projection pairs, not the trial jumps.
+    The ellipsoid's shadow on the xy-plane is the ellipse of shape matrix
+    S = (R diag(a^2) R')_xy, and the bore distance is the axis's distance
+    from it less ``radius``, or zero. In S's principal frame (eigenvalues
+    b_i) the axis sits at w; its nearest shadow point is b_i w_i/(b_i + s)
+    at the root of sum b_i w_i^2/(b_i + s)^2 = 1 (Eberly, *Distance from a
+    Point to an Ellipse, an Ellipsoid, or a Hyperellipsoid*, 2013), convex
+    and decreasing in s, so Newton from s = 0 climbs to it. The gap from w
+    to each step's point, rescaled onto the ellipse, bounds the axis's
+    distance from above, and w's height over the supporting line normal to
+    that gap from below, where no bound below ``radius`` matters. Newton
+    stops when they agree to ``_EDGE_TOL``, or after ``_NEWTON_ITERS``.
     """
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot.tolist()
-    cx, cy, cz = (float(v) for v in center)
-    a0, a1, a2 = (float(v) for v in semi_axes)
-    a0s, a1s, a2s = a0 * a0, a1 * a1, a2 * a2
-
-    def to_cylinder(x, y, z):
-        # the disk x interval splits per component
-        rho = math.hypot(x, y)
-        scale = radius / rho if rho > radius else 1.0
-        return x * scale, y * scale, min(max(z, -half_h), half_h)
-
-    def to_ellipsoid(x, y, z):
-        # in the body frame the closest point is w_i a_i^2/(a_i^2 + s); the
-        # multiplier equation is smooth, convex and decreasing, so Newton
-        # from s = 0 is monotone, and a point inside stays where it is
-        dx, dy, dz = x - cx, y - cy, z - cz
-        wx = r00 * dx + r10 * dy + r20 * dz
-        wy = r01 * dx + r11 * dy + r21 * dz
-        wz = r02 * dx + r12 * dy + r22 * dz
-        t0, t1, t2 = wx * wx * a0s, wy * wy * a1s, wz * wz * a2s
-        s = 0.0
-        for _ in range(100):
-            d0, d1, d2 = a0s + s, a1s + s, a2s + s
-            f = t0 / (d0 * d0) + t1 / (d1 * d1) + t2 / (d2 * d2) - 1.0
-            if f < 1e-14:
-                break
-            fp = -2.0 * (t0 / d0 ** 3 + t1 / d1 ** 3 + t2 / d2 ** 3)
-            s -= f / fp
-        bx = wx * a0s / (a0s + s)
-        by = wy * a1s / (a1s + s)
-        bz = wz * a2s / (a2s + s)
-        return (cx + r00 * bx + r01 * by + r02 * bz,
-                cy + r10 * bx + r11 * by + r12 * bz,
-                cz + r20 * bx + r21 * by + r22 * bz)
-
-    def lower(nx, ny, nz):
-        # support of the ellipsoid along -n less that of the cylinder along n
-        sup_cyl = radius * math.hypot(nx, ny) + half_h * abs(nz)
-        ux = r00 * nx + r10 * ny + r20 * nz
-        uy = r01 * nx + r11 * ny + r21 * nz
-        uz = r02 * nx + r12 * ny + r22 * nz
-        min_ell = (nx * cx + ny * cy + nz * cz
-                   - math.sqrt((a0 * ux) ** 2 + (a1 * uy) ** 2 + (a2 * uz) ** 2))
-        return min_ell - sup_cyl
-
-    px, py, pz = cx, cy, cz
-    qx, qy, qz = to_cylinder(px, py, pz)
-    ex = ey = ez = 0.0          # the previous displacement of p
-    best_lo = -math.inf
-    for it in range(1, _EDGE_ITERS + 1):
-        bx, by, bz = to_ellipsoid(qx, qy, qz)
-        gx, gy, gz = bx - qx, by - qy, bz - qz
-        gap = math.sqrt(gx * gx + gy * gy + gz * gz)
-        if gap < 1e-12:
-            # the projection left a cylinder point in the target where it was
-            return 0.0, 0.0, it
-        nx, ny, nz = gx / gap, gy / gap, gz / gap
-        best_lo = max(best_lo, lower(nx, ny, nz))
-        flat = math.hypot(nx, ny)
-        if abs(qz) < half_h and 0.0 < flat < 1.0:
-            # q is on the barrel, where the cylinder's support has a kink at
-            # n_z = 0: a pair direction tilted by t loses about half_h * t
-            # of the bound, its horizontal part only second order in t
-            best_lo = max(best_lo, lower(nx / flat, ny / flat, 0.0))
-        if gap - best_lo <= _EDGE_TOL:
+    (r00, r01, r02), (r10, r11, r12), _ = rot.tolist()
+    a0s, a1s, a2s = (float(v) ** 2 for v in semi_axes)
+    s00 = r00 * r00 * a0s + r01 * r01 * a1s + r02 * r02 * a2s
+    s01 = r00 * r10 * a0s + r01 * r11 * a1s + r02 * r12 * a2s
+    s11 = r10 * r10 * a0s + r11 * r11 * a1s + r12 * r12 * a2s
+    mid, half = (s00 + s11) / 2.0, math.hypot((s00 - s11) / 2.0, s01)
+    b0, b1 = mid + half, mid - half
+    phi = math.atan2(2.0 * s01, s00 - s11) / 2.0
+    c, sn = math.cos(phi), math.sin(phi)
+    w0, w1 = -c * cx - sn * cy, sn * cx - c * cy
+    if w0 * w0 / b0 + w1 * w1 / b1 <= 1.0:
+        return 0.0, 0.0, 0      # the axis runs through the shadow
+    s, lo = 0.0, radius
+    for step in range(1, _NEWTON_ITERS + 1):
+        e0, e1 = b0 + s, b1 + s
+        form = b0 * (w0 / e0) ** 2 + b1 * (w1 / e1) ** 2
+        k = 1.0 / math.sqrt(form)
+        g0, g1 = w0 - k * b0 * w0 / e0, w1 - k * b1 * w1 / e1
+        hi = math.hypot(g0, g1)
+        if hi > lo:
+            lo = max(lo, (g0 * w0 + g1 * w1
+                          - math.sqrt(b0 * g0 * g0 + b1 * g1 * g1)) / hi)
+        if hi - lo <= _EDGE_TOL:
             break
-
-        sx, sy, sz = to_cylinder(bx, by, bz)
-        dx, dy, dz = bx - px, by - py, bz - pz
-        dd = dx * dx + dy * dy + dz * dz
-        de = dx * ex + dy * ey + dz * ez
-        ee = ex * ex + ey * ey + ez * ez
-        # cosine above _AITKEN_COS and ratio below one, free of divisions
-        if de > 0.0 and dd < ee and de * de > _AITKEN_COS ** 2 * dd * ee:
-            ratio = math.sqrt(dd / ee)
-            k = min(ratio / (1.0 - ratio), _AITKEN_MAX)
-            jx, jy, jz = to_ellipsoid(bx + k * dx, by + k * dy, bz + k * dz)
-            vx, vy, vz = to_cylinder(jx, jy, jz)
-            if ((jx - vx) ** 2 + (jy - vy) ** 2 + (jz - vz) ** 2
-                    < (bx - sx) ** 2 + (by - sy) ** 2 + (bz - sz) ** 2):
-                bx, by, bz, sx, sy, sz = jx, jy, jz, vx, vy, vz
-        ex, ey, ez = dx, dy, dz
-        px, py, pz, qx, qy, qz = bx, by, bz, sx, sy, sz
-    return best_lo, gap, it
+        s += (form - 1.0) / (2.0 * (b0 * w0 * w0 / e0 ** 3
+                                    + b1 * w1 * w1 / e1 ** 3))
+    return lo - radius, max(hi - radius, 0.0), step
 
 
-def _distance(rot: np.ndarray, center, semi_axes,
-              geom: TankGeometry) -> float:
-    """Upper bound of ``_edge_bounds``, zero for overlapping bodies;
-    bounds more than ``_EDGE_TOL`` apart raise ``SolverError``."""
-    lo, hi, iters = _edge_bounds(rot, center, semi_axes, geom.probe_radius,
-                                 geom.probe_height / 2.0)
+def _distance(rot: np.ndarray, cx: float, cy: float, semi_axes,
+              radius: float) -> float:
+    """The upper bound of ``_bore_bounds``; bounds more than ``_EDGE_TOL``
+    apart raise ``SolverError``."""
+    lo, hi, steps = _bore_bounds(rot, cx, cy, semi_axes, radius)
     if hi - lo > _EDGE_TOL:
-        raise SolverError(f"probe distance not certified after {iters} "
-                          f"iterations: bounds [{float(lo)!r}, {float(hi)!r}]")
+        raise SolverError(f"probe distance not certified after {steps} Newton "
+                          f"steps: bounds [{float(lo)!r}, {float(hi)!r}]")
     return hi
 
 
 def target_probe_distance(target: TargetSpec, geom: TankGeometry) -> float:
-    """Edge-to-edge distance between the target ellipsoid and the probe
-    cylinder of ``geom``, accurate to 1e-10; overlapping bodies report
-    zero. A distance the kernel cannot certify within its iteration cap
-    raises ``SolverError`` rather than being recorded."""
-    return _distance(target.rotation_matrix(), target.center,
-                     target.semi_axes, geom)
+    """Edge-to-edge distance between the target ellipsoid and the probe bore
+    of ``geom``, accurate to 1e-10; a target that reaches into the bore
+    reports zero. A distance whose Newton root is not certified within the
+    step cap raises ``SolverError`` rather than being recorded."""
+    cx, cy, _ = target.center
+    return _distance(target.rotation_matrix(), cx, cy, target.semi_axes,
+                     geom.probe_radius)
 
 
 def _brent(f, lo: float, hi: float, flo: float, fhi: float,
@@ -308,9 +226,10 @@ def _brent(f, lo: float, hi: float, flo: float, fhi: float,
         fcur = f(xcur)
 
 
-def _place_radius(azimuth: float, z0: float, distance: float, semi_axes,
-                  quat, geom: TankGeometry) -> float:
-    """Center radius at which the target sits ``distance`` from the probe.
+def _place_radius(azimuth: float, distance: float, semi_axes, quat,
+                  geom: TankGeometry) -> float:
+    """Center radius at which the target sits ``distance`` from the probe
+    bore, whatever its height.
 
     The distance is convex in the center radius and grows with it once the
     bodies part, so [0, hi] brackets the requested value. Brent's method
@@ -318,14 +237,14 @@ def _place_radius(azimuth: float, z0: float, distance: float, semi_axes,
     than ``step = hi * 2**-48``, the width 48 bisection steps would leave,
     and returns its upper end r: ``dist(r) >= distance``, while the lower
     end, less than one step below r, has ``dist < distance``. A distance
-    the kernel cannot certify raises ``SolverError``.
+    whose Newton root is not certified raises ``SolverError``.
     """
     rot = Rotation.from_quat(quat).as_matrix()
     ca, sa = math.cos(azimuth), math.sin(azimuth)
 
     def excess(rho: float) -> float:
-        return _distance(rot, (rho * ca, rho * sa, z0), semi_axes,
-                         geom) - distance
+        return _distance(rot, rho * ca, rho * sa, semi_axes,
+                         geom.probe_radius) - distance
 
     f0 = excess(0.0)
     if f0 >= 0.0:
@@ -338,13 +257,14 @@ def _place_radius(azimuth: float, z0: float, distance: float, semi_axes,
 
 def sample_target(rng: np.random.Generator, geom: TankGeometry,
                   bounds: SampleBounds = SampleBounds()) -> TargetSpec:
-    """Draw one target: uniform azimuth and height around the probe of
-    ``geom``, uniform edge-to-edge distance, uniform random orientation."""
+    """Draw one target: uniform azimuth around the probe of ``geom``, height
+    uniform over its electrode section (``probe_height``), uniform
+    edge-to-edge distance to its bore, uniform random orientation."""
     azimuth = rng.uniform(0.0, 2.0 * math.pi)
-    z0 = rng.uniform(-_Z_BAND, _Z_BAND)
+    z0 = rng.uniform(-geom.probe_height / 2.0, geom.probe_height / 2.0)
     distance = rng.uniform(0.0, bounds.max_distance)
     quat = tuple(float(v) for v in Rotation.random(random_state=rng).as_quat())
-    rho = _place_radius(azimuth, z0, distance, bounds.semi_axes, quat, geom)
+    rho = _place_radius(azimuth, distance, bounds.semi_axes, quat, geom)
     center = (rho * math.cos(azimuth), rho * math.sin(azimuth), z0)
     return TargetSpec(center=center, semi_axes=bounds.semi_axes, quat=quat)
 

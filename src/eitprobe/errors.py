@@ -19,10 +19,10 @@ class SingularSystemError(EitProbeError):
 
 class SolverError(EitProbeError):
     """A numerical solver did not settle its answer: a forward solve
-    missed its residual tolerance (``SparseSystem.solve``), or a probe
-    distance stayed uncertified at the kernel's iteration cap
-    (``datagen._distance``, under ``target_probe_distance`` and
-    ``sample_target``)."""
+    missed its residual tolerance (``SparseSystem.solve``), or the 2-D
+    Newton root of a target's distance to the probe bore stayed uncertified
+    at its step cap (``datagen._distance``, under ``target_probe_distance``
+    and ``sample_target``)."""
 
 
 class IllConditionedError(EitProbeError):

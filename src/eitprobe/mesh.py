@@ -42,9 +42,11 @@ class TankGeometry:
     """Probe-in-tank geometry, lengths in probe-radius units.
 
     The probe is a cylindrical bore of radius ``probe_radius`` through the
-    full tank height; ``probe_height`` is the span of the electrode-bearing
-    section, over which the electrode rings are evenly distributed.
-    ``electrode_size`` is (arc length, height) of each rectangular patch.
+    full tank height; target distances and placement (``datagen``) measure
+    to this bore. ``probe_height`` is the span of the electrode-bearing
+    section, over which the electrode rings are evenly distributed, and
+    the band of random target heights. ``electrode_size`` is (arc length,
+    height) of each rectangular patch.
     """
 
     probe_radius: float = 1.0

@@ -28,45 +28,50 @@ from eitprobe.mesh import TankGeometry
 from eitprobe.metrics import full_report
 
 IDENTITY_QUAT = (0.0, 0.0, 0.0, 1.0)
-# the default probe: radius 1, half-height 2
+# the default probe: a bore of radius 1, an electrode section 4 high
 GEOM = TankGeometry()
 TINY_BOUNDS = SampleBounds(max_distance=3.0, semi_axes=(1.0, 1.5, 2.0))
 
 
 @pytest.fixture(scope="module")
-def kernel_iterations():
-    """Projection iterations of every distance-kernel call ``draws`` made,
-    its placements' and its recorded distances'."""
-    return []
-
-
-@pytest.fixture(scope="module")
-def draws(kernel_iterations):
+def draws():
     """1,000 default targets and their distances, plus every placement
     (the arguments and result of ``_place_radius``) and the number of
     distance-kernel calls the placements made."""
     rng = np.random.default_rng(42)
     bounds = SampleBounds()
     placements = []
+    calls = 0
 
     def place(*args):
         r = place_radius(*args)
         placements.append((*args, r))
         return r
 
-    def edge_bounds(*args):
-        result = bounds_kernel(*args)
-        kernel_iterations.append(result[2])
-        return result
+    def bore_bounds(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
 
-    place_radius, bounds_kernel = datagen._place_radius, datagen._edge_bounds
+    place_radius, kernel = datagen._place_radius, datagen._bore_bounds
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(datagen, "_edge_bounds", edge_bounds)
+        mp.setattr(datagen, "_bore_bounds", bore_bounds)
         mp.setattr(datagen, "_place_radius", place)
         targets = [sample_target(rng, GEOM, bounds) for _ in range(1000)]
-        calls = len(kernel_iterations)
-        dist = np.array([target_probe_distance(t, GEOM) for t in targets])
+    dist = np.array([target_probe_distance(t, GEOM) for t in targets])
     return targets, dist, placements, calls
+
+
+@pytest.fixture(scope="module")
+def bench_stream():
+    """The first 300 targets of the bench's training stream (2**41) and the
+    first 60 of its held-out stream (2**40), placed with the default
+    bounds."""
+    train = [sample_target(np.random.default_rng(2 ** 41 ^ i), GEOM)
+             for i in range(300)]
+    held = [sample_target(np.random.default_rng(2 ** 40 ^ i), GEOM)
+            for i in range(60)]
+    return train, held
 
 
 @pytest.fixture(scope="module")
@@ -88,13 +93,6 @@ def _quat_matrix(q):
     ])
 
 
-def _point_to_cylinder(p, radius=1.0, half_h=2.0):
-    rho = math.hypot(p[0], p[1])
-    dr = max(rho - radius, 0.0)
-    dz = max(abs(p[2]) - half_h, 0.0)
-    return math.hypot(dr, dz)
-
-
 def _fibonacci_sphere(n):
     i = np.arange(n) + 0.5
     phi = math.pi * (1 + 5 ** 0.5) * i
@@ -103,95 +101,60 @@ def _fibonacci_sphere(n):
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def _plain_projection_bounds(rot, center, semi_axes, radius, half_h):
-    """Plain alternating projections between the ellipsoid and the solid
-    cylinder, with no extrapolation: the oracle for ``datagen._edge_bounds``.
-    Returns (lower, upper) bounds on the distance, (0, 0) for bodies that
-    overlap; they agree to 1e-10 unless 3,000 iterations run out."""
-    r00, r01, r02 = rot[0]
-    r10, r11, r12 = rot[1]
-    r20, r21, r22 = rot[2]
-    cx, cy, cz = (float(v) for v in center)
-    a0, a1, a2 = (float(v) for v in semi_axes)
-    a0s, a1s, a2s = a0 * a0, a1 * a1, a2 * a2
-    px, py, pz = cx, cy, cz
-    best_lo = -math.inf
-    gap = math.inf
-    for _ in range(3000):
-        rho = math.hypot(px, py)
-        scale = radius / rho if rho > radius else 1.0
-        qx, qy, qz = px * scale, py * scale, min(max(pz, -half_h), half_h)
-        dx, dy, dz = qx - cx, qy - cy, qz - cz
-        wx = r00 * dx + r10 * dy + r20 * dz
-        wy = r01 * dx + r11 * dy + r21 * dz
-        wz = r02 * dx + r12 * dy + r22 * dz
-        if (wx / a0) ** 2 + (wy / a1) ** 2 + (wz / a2) ** 2 <= 1.0:
-            return 0.0, 0.0
-        t0, t1, t2 = wx * wx * a0s, wy * wy * a1s, wz * wz * a2s
-        s = 0.0
-        for _ in range(100):
-            d0, d1, d2 = a0s + s, a1s + s, a2s + s
-            f = t0 / (d0 * d0) + t1 / (d1 * d1) + t2 / (d2 * d2) - 1.0
-            if f < 1e-14:
-                break
-            fp = -2.0 * (t0 / d0 ** 3 + t1 / d1 ** 3 + t2 / d2 ** 3)
-            s -= f / fp
-        bx = wx * a0s / (a0s + s)
-        by = wy * a1s / (a1s + s)
-        bz = wz * a2s / (a2s + s)
-        px = cx + r00 * bx + r01 * by + r02 * bz
-        py = cy + r10 * bx + r11 * by + r12 * bz
-        pz = cz + r20 * bx + r21 * by + r22 * bz
-        gx, gy, gz = px - qx, py - qy, pz - qz
-        gap = math.sqrt(gx * gx + gy * gy + gz * gz)
-        if gap < 1e-12:
-            return 0.0, 0.0
-        nx, ny, nz = gx / gap, gy / gap, gz / gap
-        sup_cyl = radius * math.hypot(nx, ny) + half_h * abs(nz)
-        ux = r00 * nx + r10 * ny + r20 * nz
-        uy = r01 * nx + r11 * ny + r21 * nz
-        uz = r02 * nx + r12 * ny + r22 * nz
-        min_ell = (nx * cx + ny * cy + nz * cz
-                   - math.sqrt((a0 * ux) ** 2 + (a1 * uy) ** 2 + (a2 * uz) ** 2))
-        best_lo = max(best_lo, min_ell - sup_cyl)
-        if gap - best_lo <= 1e-10:
-            break
-    return best_lo, gap
+def _surface_net(target, n=20000):
+    """``n`` points of the target's surface, a Fibonacci net of the unit
+    sphere stretched by the semi-axes and rotated."""
+    body = _fibonacci_sphere(n) * target.semi_axes
+    return np.asarray(target.center) + body @ _quat_matrix(target.quat).T
 
 
-def _kernel_configs(n, seed):
-    """``n`` random ellipsoid/probe configurations (rotation, center,
-    semi-axes, probe radius, probe half-height) with their oracle bounds.
-    Three in four lie where they fall, overlapping or apart; every fourth
-    starts clear of the probe and is pulled in along the horizontal ray to
-    a random gap of at most 0.08. Each pull step moves the center by the
-    lower bound of ``_edge_bounds`` less that gap, so the distance never
-    drops below it."""
+def _shadow_configs(n, seed):
+    """``n`` random ellipsoid/bore configurations (rotation, center's x and
+    y, semi-axes, bore radius) and, for every fourth, its exact distance.
+
+    Three in four lie where they fall, overlapping or apart. Every fourth
+    is built near-tangent: a random boundary point y of the shadow ellipse
+    (x'S^-1 x = 1 about the shadow's center, S the xy block of
+    R diag(a^2) R') is put at radius r + gap on the axis's side, along its
+    outward normal S^-1 y. The nearest shadow point of the axis is then y,
+    so the distance is exactly the gap, drawn from [0, 0.08]."""
     rng = np.random.default_rng(seed)
     out = []
     for i in range(n):
-        radius, half_h = rng.uniform(0.5, 2.0), rng.uniform(0.5, 4.0)
-        axes = tuple(rng.uniform(0.3, 10.0, size=3))
+        radius = rng.uniform(0.5, 2.0)
+        axes = rng.uniform(0.3, 10.0, size=3)
         rot = Rotation.random(random_state=rng).as_matrix()
-        azimuth = rng.uniform(0.0, 2.0 * math.pi)
-        z0 = rng.uniform(-2.0 * half_h, 2.0 * half_h)
-        clear = radius + max(axes)
-        ca, sa = math.cos(azimuth), math.sin(azimuth)
         if i % 4 == 0:
-            rho, want = clear + 1.0, rng.uniform(0.0, 0.08)
-            for _ in range(6):
-                lo = datagen._edge_bounds(rot, (rho * ca, rho * sa, z0),
-                                          axes, radius, half_h)[0]
-                if lo <= want:
-                    break
-                rho -= lo - want
+            shape = (rot * axes ** 2 @ rot.T)[:2, :2]
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            y = np.linalg.cholesky(shape) @ (math.cos(theta), math.sin(theta))
+            normal = np.linalg.solve(shape, y)
+            gap = rng.uniform(0.0, 0.08)
+            cxy = -(y + (radius + gap) * normal / np.linalg.norm(normal))
+            exact = gap
         else:
-            rho = rng.uniform(0.0, clear + 10.0)
-        center = (rho * ca, rho * sa, z0)
-        out.append((rot, center, axes, radius, half_h,
-                    _plain_projection_bounds(rot, center, axes, radius,
-                                             half_h)))
+            rho = rng.uniform(0.0, radius + axes.max() + 10.0)
+            azimuth = rng.uniform(0.0, 2.0 * math.pi)
+            cxy = rho * np.array([math.cos(azimuth), math.sin(azimuth)])
+            exact = None
+        out.append((rot, cxy, tuple(axes), radius, exact))
     return out
+
+
+def _sampled_shadow_distance(rot, cxy, axes, radius, n=20000):
+    """Distance from the bore to ``n`` evenly spaced points (in the
+    parameter) of the shadow ellipse's boundary, zero if the axis lies in
+    the shadow; with the largest spacing of the points along the
+    boundary."""
+    shape = (rot * np.square(axes) @ rot.T)[:2, :2]
+    if cxy @ np.linalg.solve(shape, cxy) <= 1.0:
+        return 0.0, 0.0
+    root = np.linalg.cholesky(shape)
+    theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    pts = cxy[:, None] + root @ np.vstack([np.cos(theta), np.sin(theta)])
+    # |d/dtheta root (cos, sin)| is at most root's largest singular value
+    spacing = 2.0 * math.pi / n * np.linalg.norm(root, 2)
+    return max(np.hypot(pts[0], pts[1]).min() - radius, 0.0), spacing
 
 
 class TestTargetSampling:
@@ -226,40 +189,50 @@ class TestTargetSampling:
         # rotation is taken as the placement takes it, so both round alike
         _, _, placements, _ = draws
         assert len(placements) == 1000
-        for azimuth, z0, want, axes, quat, geom, r in placements:
+        for azimuth, want, axes, quat, geom, r in placements:
             rot = Rotation.from_quat(quat).as_matrix()
             step = (geom.probe_radius + want + max(axes) + 1.0) * 2.0 ** -48
 
             def dist_at(rho):
-                center = (rho * math.cos(azimuth), rho * math.sin(azimuth), z0)
-                return datagen._distance(rot, center, axes, geom)
+                return datagen._distance(rot, rho * math.cos(azimuth),
+                                         rho * math.sin(azimuth), axes,
+                                         geom.probe_radius)
 
             assert dist_at(r) >= want
             assert dist_at(r - step) < want
 
-    def test_bench_stream_placements_pinned(self):
-        # the first targets of the bench's training (2**41) and held-out
-        # (2**40) seed streams, placed with the default bounds
-        targets = [sample_target(np.random.default_rng(2 ** 41 ^ i), GEOM)
-                   for i in range(60)]
-        targets += [sample_target(np.random.default_rng(2 ** 40 ^ i), GEOM)
-                    for i in range(7)]
+    def test_bench_stream_placements_pinned(self, bench_stream):
+        # the first 60 training and 7 held-out targets the bench draws
+        train, held = bench_stream
         digest = hashlib.sha256(canonical_json_bytes(
-            [dataclasses.asdict(t) for t in targets])).hexdigest()
-        assert digest == ("fb6e676c8895fc112d0214b70148772d"
-                          "19156c84b6509cf615fc595f02e968bb")
+            [dataclasses.asdict(t) for t in train[:60] + held[:7]])).hexdigest()
+        assert digest == ("94324e4233fbd2adb123e4dc8176fa22"
+                          "9a304c44a9427684fcd9430bba561c16")
+
+    def test_no_bench_stream_target_reaches_into_the_bore(self, bench_stream):
+        # a net point inside the bore proves an intrusion; placed against
+        # the electrode section alone, 4 of these 360 cut up to 0.33 deep
+        train, held = bench_stream
+        inside = [i for i, t in enumerate(train + held)
+                  if target_probe_distance(t, GEOM) > 0.0
+                  and np.hypot(*_surface_net(t)[:, :2].T).min()
+                  < GEOM.probe_radius - 1e-9]
+        assert not inside
+
+    def test_height_band_follows_the_probe(self, big_probe_mesh):
+        # centers lie along the electrode section of the geometry's probe
+        geom = big_probe_mesh.geometry
+        rng = np.random.default_rng(6)
+        z = np.array([sample_target(rng, geom, TINY_BOUNDS).center[2]
+                      for _ in range(100)])
+        assert np.all(np.abs(z) <= geom.probe_height / 2.0)
+        assert np.any(np.abs(z) > 2.0)
 
     def test_placement_needs_few_kernel_calls(self, draws):
         # 48 bisection steps plus the bracket check took 49 calls each
         _, _, placements, calls = draws
-        assert calls / len(placements) <= 20
-
-    def test_placement_needs_few_projection_iterations(self, draws,
-                                                       kernel_iterations):
-        # plain alternating projections took about 58 a call; a heavy
-        # tail (1 % of calls held 35 % of the iterations) set the mean
-        assert len(kernel_iterations) > len(draws[2])
-        assert np.mean(kernel_iterations) <= 15
+        assert len(placements) == 1000
+        assert 0 < calls / len(placements) <= 20
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
@@ -283,10 +256,11 @@ class TestDistanceKernel:
             # x-extreme of an axis-aligned ellipsoid faces the barrel
             (((8.0, 0, 0), (4.0, 6.0, 9.0)), 3.0),
             (((5.0, 0, 0), (2.0, 2.0, 2.0)), 2.0),
-            # sphere on the axis above the top face
-            (((0.0, 0, 6.0), (1.0, 1.0, 1.0)), 3.0),
-            # sphere off the top rim
-            (((3.0, 0, 4.0), (1.0, 1.0, 1.0)), math.hypot(2.0, 2.0) - 1.0),
+            # the bore runs through the whole tank: a sphere on the axis
+            # above the electrode section reaches into it
+            (((0.0, 0, 6.0), (1.0, 1.0, 1.0)), 0.0),
+            # and the sphere off the section's top rim faces the barrel
+            (((3.0, 0, 4.0), (1.0, 1.0, 1.0)), 1.0),
             (((0.5, 0, 0.5), (1.0, 1.0, 1.0)), 0.0),
         ]
         for (center, axes), want in cases:
@@ -297,54 +271,54 @@ class TestDistanceKernel:
         # sampling the ellipsoid surface can only overestimate the true
         # minimum, and a dense net comes close to it
         targets, dist, _, _ = draws
-        dirs = _fibonacci_sphere(20000)
         for t, d in zip(targets[:8], dist[:8]):
-            rot = _quat_matrix(t.quat)
-            pts = np.asarray(t.center) + (dirs * t.semi_axes) @ rot.T
-            est = min(_point_to_cylinder(p) for p in pts)
+            rho = np.hypot(*_surface_net(t)[:, :2].T)
+            est = max(rho.min() - GEOM.probe_radius, 0.0)
             assert est >= d - 1e-9
             assert est - d < 0.05
 
     def test_recorded_distances_are_certified(self, draws):
-        # plain projections left 4 of these 1,000 up to 6.9e-8 off, at the
-        # iteration cap
         targets, dist, _, _ = draws
         for t, d in zip(targets, dist):
-            lo, hi, _ = datagen._edge_bounds(
-                t.rotation_matrix(), t.center, t.semi_axes, GEOM.probe_radius,
-                GEOM.probe_height / 2.0)
+            lo, hi, _ = datagen._bore_bounds(
+                t.rotation_matrix(), t.center[0], t.center[1], t.semi_axes,
+                GEOM.probe_radius)
             assert hi - lo <= 1e-10
             assert d == hi
 
     def test_uncertified_distance_raises(self, monkeypatch):
         t = TargetSpec(center=(6.0, 1.0, 0.5), semi_axes=(4.0, 6.0, 9.0),
                        quat=(0.3, -0.2, 0.1, math.sqrt(0.86)))
-        args = (0.3, 0.5, 1.0, (1.0, 1.5, 2.0), IDENTITY_QUAT, GEOM)
+        args = (0.3, 1.0, (1.0, 1.5, 2.0), IDENTITY_QUAT, GEOM)
         assert target_probe_distance(t, GEOM) > 0.0
         assert datagen._place_radius(*args) > 0.0
-        monkeypatch.setattr(datagen, "_EDGE_ITERS", 1)
+        monkeypatch.setattr(datagen, "_NEWTON_ITERS", 1)
         plain = r"bounds \[\d\.\d+, \d\.\d+\]$"
         with pytest.raises(SolverError, match=plain):
             target_probe_distance(t, GEOM)
         # a placement that searched on uncertified distances would return
-        # 3.0343 for the certified 3.0390
+        # 3.0252 for the certified 3.0390
         with pytest.raises(SolverError, match=plain):
             datagen._place_radius(*args)
 
-    def test_matches_plain_projection_oracle(self):
-        configs = _kernel_configs(512, seed=11)
-        upper = np.array([c[5][1] for c in configs])
-        certified = np.array([c[5][1] - c[5][0] <= 1e-10 for c in configs])
-        assert np.sum(upper == 0.0) >= 50
-        assert np.sum((upper > 0.0) & (upper < 0.1) & certified) >= 100
-        assert np.sum(upper > 1.0) >= 200
-        assert certified.mean() > 0.9
-        for rot, center, axes, radius, half_h, (o_lo, o_hi) in configs:
-            lo, hi, _ = datagen._edge_bounds(rot, center, axes, radius, half_h)
-            # both kernels' bounds are rigorous, so they overlap
-            assert lo <= o_hi + 1e-12 and o_lo <= hi + 1e-12
-            if o_hi - o_lo <= 1e-10:
-                assert abs(hi - o_hi) <= 2e-10
+    def test_matches_shadow_sampling_oracle(self):
+        # sampling the shadow's boundary can only overestimate the distance
+        # from the axis, by at most half the points' spacing; the kernel's
+        # upper bound lies within _EDGE_TOL of the true distance
+        configs = _shadow_configs(512, seed=11)
+        dist = []
+        for rot, cxy, axes, radius, exact in configs:
+            d = datagen._distance(rot, *cxy, axes, radius)
+            est, spacing = _sampled_shadow_distance(rot, cxy, axes, radius)
+            assert d <= est + 1e-10
+            assert est - d <= spacing / 2.0
+            if exact is not None:
+                assert d == pytest.approx(exact, abs=1e-10)
+            dist.append(d)
+        dist = np.array(dist)
+        assert np.sum(dist == 0.0) >= 50
+        assert np.sum((dist > 0.0) & (dist < 0.1)) >= 100
+        assert np.sum(dist > 1.0) >= 200
 
     def test_monotone_along_ray(self):
         prev = 0.0

@@ -1,5 +1,6 @@
 """Guard against module-level imports that the importing module never uses,
-against private package names that nothing in the package uses, and against
+against private package names that nothing in the package uses, against
+private test and bench names that nothing in their own file uses, and against
 ``assert`` in the package, whose invariants raise the typed errors in
 ``errors.py`` (an ``assert`` vanishes under ``python -O``).
 
@@ -78,13 +79,26 @@ def _references(node: ast.AST) -> Counter:
     return refs
 
 
-def test_every_private_package_name_is_used_in_the_package():
-    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE}
+def _unused_private_names(paths) -> list[str]:
+    """Module-level private names of ``paths`` that nothing in ``paths``
+    reads beyond their own definitions."""
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in paths}
     everywhere = sum((_references(t) for t in trees.values()), Counter())
-    unused = [f"{path.relative_to(ROOT)}: {name} (line {node.lineno})"
-              for path, tree in trees.items()
-              for name, node in _private_definitions(tree)
-              if everywhere[name] == _references(node)[name]]
+    return [f"{path.relative_to(ROOT)}: {name} (line {node.lineno})"
+            for path, tree in trees.items()
+            for name, node in _private_definitions(tree)
+            if everywhere[name] == _references(node)[name]]
+
+
+def test_every_private_package_name_is_used_in_the_package():
+    unused = _unused_private_names(PACKAGE)
+    assert not unused, f"only their definitions use: {unused}"
+
+
+def test_every_private_test_and_bench_name_is_used_in_its_file():
+    # a test or bench helper is private to its file, so its file must read it
+    unused = [name for path in FILES if path not in PACKAGE
+              for name in _unused_private_names([path])]
     assert not unused, f"only their definitions use: {unused}"
 
 

@@ -387,11 +387,12 @@ def test_empty_image_scores_worst_case(tiny_mesh):
 
 
 def test_report_uses_the_mesh_probe(big_probe_mesh):
-    # the probe spans z in [-3, 3]; a ball of radius 2 at z = 13 sits 8 above it
-    ball = TargetSpec(center=(0.0, 0.0, 13.0), semi_axes=(2.0, 2.0, 2.0))
+    # the bore has radius 1.5; a ball of radius 2 at x = 5 sits 1.5 off it,
+    # and would sit 2.0 off the default probe
+    ball = TargetSpec(center=(5.0, 0.0, 0.0), semi_axes=(2.0, 2.0, 2.0))
     report = full_report(big_probe_mesh, np.zeros(big_probe_mesh.n_nodes), ball,
                          spec=FINE_GRID)
-    assert report.distance == pytest.approx(8.0, abs=1e-9)
+    assert report.distance == pytest.approx(1.5, abs=1e-9)
 
     # NADE is normalized by the probe diameter, here 3
     target = TargetSpec(center=(5.0, 1.0, 0.5), semi_axes=(1.5, 2.0, 2.5))
