@@ -361,7 +361,11 @@ def make_sample(index: int, master_seed: int, gen_mesh: Mesh, inv_mesh: Mesh,
                 nm: NoiseModel | None, rmat: ReconstructionMatrix,
                 bounds: SampleBounds, v_ref: VoltageFrame) -> Sample:
     """Sample ``index`` of the dataset seeded ``master_seed``; with no noise
-    model its noisy frame is the clean one."""
+    model its noisy frame is the clean one. A ``v_ref`` of another schedule
+    raises ProvenanceError."""
+    if v_ref.schedule_id != schedule.schedule_id:
+        raise ProvenanceError("reference frame does not belong to this "
+                              "schedule")
     rng = np.random.default_rng(master_seed ^ index)
     target = sample_target(rng, gen_mesh.geometry, bounds)
     sigma = rasterize_target(gen_mesh, target)

@@ -14,18 +14,24 @@ round to its first node): the node block is banded, with a half-bandwidth b
 of 127 on the tiny test meshes and 287 on the desk generation mesh, read
 from the assembled pattern. It is held in LAPACK's lower band storage and
 factored by LAPACK's band Cholesky ``dpbtrf``, which runs level-3 BLAS
-inside the band; ``dtbtrs`` sweeps through the factor. The 32 electrode
-unknowns couple to nodes all along the band; they are a dense border,
-eliminated last through their 32-by-32 Schur complement. The factor costs
+inside the band. The sweeps through the factor run level-3 BLAS too: they
+take the factor in blocks of b rows, each a ``dtrsm`` and a ``dtrmm`` on
+all right-hand sides at once, read in place from the band storage as
+LAPACK's own ``dpbtrf`` reads it. The 32 electrode unknowns couple to
+nodes all along the band; they are a dense border, eliminated last through
+their 32-by-32 Schur complement. The factor costs
 about n b^2 flops for n nodes and holds (b + 1) n doubles, 15.6 MB on the
 desk generation mesh; each right-hand side costs about 4 n b more.
 
 Assembly computes per call only the values that scale with the
-conductivity or the contact impedance. The sparsity pattern, the element
-kernels grad phi_i . grad phi_j, the electrode terms at unit admittance and
-the connectivity verdict are computed once per mesh and held by it
-(``Mesh.cem_pattern``); the entries keep one order, so the assembled matrix
-is the same to the bit as one built from scratch.
+conductivity or the contact impedance. The CSC structure, the CSC position
+of every entry, the element kernels grad phi_i . grad phi_j, the electrode
+terms at unit admittance and the connectivity verdict are computed once
+per mesh and held by it (``Mesh.cem_pattern``). A call scatters the
+entries onto their positions in one fixed order, so each position is a
+sequential sum in pattern order and the matrix is exactly symmetric; no
+sparse format is converted. The structure is the same for every
+conductivity, structural zeros included.
 
 Voltages scale linearly with injected current and, when conductivity and
 interface conductance are scaled together, inversely with the conductivity
@@ -41,9 +47,9 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dpbtrf, dpotrf, dpotrs, dtbtrs
-from scipy.sparse import coo_matrix, csc_matrix
+from scipy.linalg.blas import dsyrk, dtrmm, dtrsm
+from scipy.linalg.lapack import dpbtrf, dpotrf, dpotrs
+from scipy.sparse import csc_matrix
 
 from .errors import DimensionError, SingularSystemError, SolverError
 from .ioutil import hash_of
@@ -179,29 +185,32 @@ class _BorderedCholesky:
     ``band`` holds the node block's factor L_n in LAPACK's lower band
     storage: entry (r, c) of L_n, for 0 <= r - c <= b, sits at
     ``band[r - c, c]``, so the factor is (b + 1) n doubles for n nodes and
-    half-bandwidth b, read from the assembled pattern. LAPACK's ``dpbtrf``
-    computes it in place, blocked so that the work inside the band is
-    level-3 BLAS, in about n b^2 flops. ``border`` holds W = L_n^-1 B, with
-    B the node-electrode coupling, and ``schur`` the factor of the
-    electrode Schur complement E - W'W. A pivot that is not positive raises
+    half-bandwidth b, read from the matrix's CSC structure. LAPACK's
+    ``dpbtrf`` computes it in place, blocked so that the work inside the
+    band is level-3 BLAS, in about n b^2 flops; ``_band_sweep`` sweeps
+    through it the same way. ``border`` holds W = L_n^-1 B, with B the
+    node-electrode coupling, and ``schur`` the factor of the electrode
+    Schur complement E - W'W. A pivot that is not positive raises
     SingularSystemError.
 
-    An injection puts current on electrodes only, so its node rows are all
-    zero and so is their forward sweep L_n^-1 b_n; ``solve`` sets it to zero
-    without a call, which leaves a measurement frame one sweep per column.
+    The forward sweep skips the rows above a right-hand side's first
+    nonzero one: B couples each electrode only to the nodes of its patch,
+    so W's sweep starts part way down the band (row 1,679 of 6,719 on the
+    desk generation mesh), and an injection, which puts current on
+    electrodes only, needs no forward sweep at all.
     """
 
     def __init__(self, matrix: csc_matrix, n_border: int) -> None:
         m = matrix.shape[0] - n_border
-        nodes = matrix[:m, :m].tocoo()
-        nodes.sum_duplicates()
-        keep = nodes.row >= nodes.col
-        rows, cols = nodes.row[keep], nodes.col[keep]
+        rows = matrix.indices
+        cols = np.repeat(np.arange(matrix.shape[1]), np.diff(matrix.indptr))
+        lower = (rows >= cols) & (rows < m)
+        rows, cols = rows[lower], cols[lower]
         band = np.zeros((int((rows - cols).max(initial=0)) + 1, m), order="F")
-        band[rows - cols, cols] = nodes.data[keep]
+        band[rows - cols, cols] = matrix.data[lower]
         self.band, info = dpbtrf(band, lower=1, overwrite_ab=1)
         _check_pivots(info, "the node block")
-        self.border = self._sweep(matrix[:m, m:].toarray())
+        self.border = _band_sweep(self.band, matrix[:m, m:].toarray())
         schur = np.asfortranarray(matrix[m:, m:].toarray())
         dsyrk(-1.0, self.border, beta=1.0, c=schur, trans=1, lower=1,
               overwrite_c=1)
@@ -209,19 +218,69 @@ class _BorderedCholesky:
         _check_pivots(info, "the electrode border")
         self.schur = schur
 
-    def _sweep(self, y: np.ndarray, trans: str = "N") -> np.ndarray:
-        """L_n^-1 y, or L_n'^-1 y with ``trans="T"``."""
-        return dtbtrs(self.band, y, uplo="L", trans=trans)[0]
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The solution for each column of ``rhs``, by a forward sweep
         through the node block, the border's Schur solve and a back sweep.
         ``rhs`` is not written to."""
         m, border = self.band.shape[1], self.border
-        nodal = rhs[:m]
-        y = self._sweep(nodal) if nodal.any() else np.zeros_like(nodal)
+        y = _band_sweep(self.band, rhs[:m])
         xe = dpotrs(self.schur, rhs[m:] - border.T @ y, lower=1)[0]
-        return np.vstack([self._sweep(y - border @ xe, "T"), xe])
+        return np.vstack([_band_sweep(self.band, y - border @ xe, True), xe])
+
+
+def _band_sweep(band: np.ndarray, y: np.ndarray,
+                trans: bool = False) -> np.ndarray:
+    """L^-1 y, or L'^-1 y with ``trans``, for the lower band factor L that
+    ``band`` holds in LAPACK's band storage, in blocks of b rows.
+
+    With the band in Fortran order, L[r, c] sits at flat offset r + c b,
+    so any window of L inside the band is a column-major matrix of leading
+    dimension b; ``window`` views it without a copy. The diagonal block of
+    a block row is lower triangular, inside the band, and goes to
+    ``dtrsm``; the block left of it, L[r:r+p, r-b:r], is inside the band
+    on and above its diagonal, an upper triangle T that goes to ``dtrmm``,
+    then, when a last block is short (p < b), a rectangle R of p by b - p
+    for a dense product. The positions of those windows outside the band
+    alias other entries of the factor; they lie only in the triangle that
+    ``dtrsm`` and ``dtrmm`` leave unread. The forward sweep starts at the
+    block of the first nonzero row of ``y``; the rows above it stay zero.
+    """
+    b, m = band.shape[0] - 1, band.shape[1]
+    flat = band.ravel(order="F")
+
+    def window(r: int, c: int, rows: int, cols: int) -> np.ndarray:
+        # np.ndarray checks that the window lies inside the buffer
+        return np.ndarray((rows, cols), buffer=flat, offset=8 * (r + c * b),
+                          strides=(8, 8 * b))
+
+    x = np.zeros(y.shape, order="F")
+    if trans:
+        for r in range((m - 1) // b * b, -1, -b):
+            rhs = np.array(y[r:r + b], order="F")
+            p = len(rhs)
+            if r + p < m:
+                q = min(b, m - r - b)
+                below = x[r + b:r + b + q]
+                rhs[:q] -= dtrmm(1.0, window(r + b, r, q, q), below,
+                                 trans_a=1)
+                rhs[q:] -= window(r + b, r + q, q, b - q).T @ below
+            x[r:r + p] = dtrsm(1.0, window(r, r, p, p), rhs, lower=1,
+                               trans_a=1, overwrite_b=1)
+        return x
+    nonzero = np.flatnonzero(y.any(axis=1))
+    if nonzero.size == 0:
+        return x
+    start = nonzero[0] // b * b
+    for r in range(start, m, b):
+        rhs = np.array(y[r:r + b], order="F")
+        p = len(rhs)
+        if r > start:
+            left = x[r - b:r]
+            rhs -= dtrmm(1.0, window(r, r - b, p, p), left[:p])
+            rhs -= window(r, r - b + p, p, b - p) @ left[p:]
+        x[r:r + p] = dtrsm(1.0, window(r, r, p, p), rhs, lower=1,
+                           overwrite_b=1)
+    return x
 
 
 def _check_pivots(info: int, what: str) -> None:
@@ -234,13 +293,16 @@ def _check_pivots(info: int, what: str) -> None:
 
 @dataclass(eq=False)
 class SparseSystem:
-    """Assembled CEM system for one conductivity field. Node 0 is the
-    ground: its potential is fixed at zero, and the system solved is the
-    matrix less its first row and column. That system is factorized, on the
-    first solve, by LAPACK's band Cholesky of the layer-banded node block,
-    with the electrode unknowns as a dense border (``_BorderedCholesky``):
-    about n b^2 flops and (b + 1) n doubles for n nodes and half-bandwidth
-    b."""
+    """Assembled CEM system for one conductivity field. ``matrix`` is in
+    canonical CSC form and shares its structure with every system on the
+    mesh (``Mesh.cem_pattern``). Node 0 is the ground: its potential is
+    fixed at zero, and the system solved is the matrix less its first row
+    and column. That system is factorized, on the first solve, by LAPACK's
+    band Cholesky of the layer-banded node block, with the electrode
+    unknowns as a dense border (``_BorderedCholesky``): about n b^2 flops
+    and (b + 1) n doubles for n nodes and half-bandwidth b; each solve
+    sweeps all its right-hand sides through the band in blocks of b
+    rows."""
 
     mesh: Mesh
     matrix: csc_matrix           # full (n_nodes + n_el) square, symmetric
@@ -305,9 +367,8 @@ def assemble_system(mesh: Mesh, sigma: np.ndarray,
     ke = pat.kernels * (sigma * mesh.volumes)[:, None, None]
     vals = np.concatenate([ke.ravel(),
                            pat.electrode_values / contact_impedance])
-    full = coo_matrix((vals, (pat.rows, pat.cols)), shape=(size, size)).tocsc()
-    # make symmetry exact rather than accurate-to-roundoff
-    full = ((full + full.T) * 0.5).tocsc()
+    data = np.bincount(pat.slot, weights=vals, minlength=pat.indices.size)
+    full = csc_matrix((data, pat.indices, pat.indptr), shape=(size, size))
 
     # the ground is mesh node 0, not an electrode: that keeps every
     # electrode equation inside the reduced system, so computed electrode

@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import coo_matrix, csc_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import GeometryError, MeshingError
@@ -246,15 +246,22 @@ class Mesh:
 class CemPattern(NamedTuple):
     """Sparsity and conductivity-free values of the complete-electrode-model
     system; the unknowns are the nodal potentials, then one potential per
-    electrode. The COO entries are the 16 element stiffness entries of each
-    element (row-major), then per electrode patch the boundary mass of each
-    face, the two coupling blocks and the electrode diagonal. Every array
-    is read-only."""
+    electrode. The entries, in pattern order, are the 16 element stiffness
+    entries of each element (row-major), then per electrode patch the
+    boundary mass of each face, the two coupling blocks and the electrode
+    diagonal. ``indptr`` and ``indices`` are the canonical CSC structure of
+    their sum: sorted, one position per distinct (row, column), symmetric.
+    ``slot`` maps each entry to its CSC position, so assembly is one fixed
+    scatter. Each kernel is exactly symmetric, and so is every electrode
+    block, so the sums a scatter forms at (i, j) and at (j, i) add the same
+    values in the same order: the assembled matrix is exactly symmetric.
+    Every array is read-only."""
 
     kernels: np.ndarray         # (n_elements, 4, 4) grad phi_i . grad phi_j
-    rows: np.ndarray            # int32 COO row of every entry
-    cols: np.ndarray            # int32 COO column of every entry
     electrode_values: np.ndarray  # electrode-term entries at unit admittance
+    indptr: np.ndarray          # int32 CSC column starts
+    indices: np.ndarray         # int32 CSC row of every position
+    slot: np.ndarray            # int32 CSC position of every entry
     n_components: int           # connected components of the system graph
 
 
@@ -268,6 +275,8 @@ def _cem_pattern(mesh: Mesh) -> CemPattern:
     n = mesh.n_nodes
     grads = mesh.shape_gradients
     kernels = np.einsum("eik,ejk->eij", grads, grads)
+    # exactly symmetric, so that assembly needs no averaging (see CemPattern)
+    kernels = (kernels + kernels.transpose(0, 2, 1)) * 0.5
     shape = (mesh.n_elements, 4, 4)
     rows = [np.broadcast_to(mesh.tets[:, :, None], shape).ravel()]
     cols = [np.broadcast_to(mesh.tets[:, None, :], shape).ravel()]
@@ -286,16 +295,23 @@ def _cem_pattern(mesh: Mesh) -> CemPattern:
         cols += [fj.ravel(), eidx, pidx, [n + k]]
         vals += [(mass[None, :, :] * fa[:, None, None]).ravel(), -w, -w,
                  [fa.sum()]]
-    rows = np.concatenate(rows).astype(np.int32)
-    cols = np.concatenate(cols).astype(np.int32)
     size = n + mesh.n_electrodes
-    graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(size, size))
+    key = (np.concatenate(cols).astype(np.int64) * size
+           + np.concatenate(rows))
+    # sorted keys are the canonical CSC order: by column, then by row
+    key, slot = np.unique(key, return_inverse=True)
+    col, row = np.divmod(key, size)
+    indptr = np.searchsorted(col, np.arange(size + 1)).astype(np.int32)
+    indices = row.astype(np.int32)
+    graph = csc_matrix((np.ones(key.size), indices, indptr), shape=(size, size))
     n_components, _ = connected_components(graph, directed=False)
-    pattern = CemPattern(kernels=kernels, rows=rows, cols=cols,
+    pattern = CemPattern(kernels=kernels,
                          electrode_values=np.concatenate(vals),
+                         indptr=indptr, indices=indices,
+                         slot=slot.astype(np.int32),
                          n_components=int(n_components))
-    for a in (pattern.kernels, pattern.rows, pattern.cols,
-              pattern.electrode_values):
+    for a in (pattern.kernels, pattern.electrode_values, indptr, indices,
+              pattern.slot):
         a.flags.writeable = False
     return pattern
 

@@ -515,6 +515,14 @@ class TestDataset:
             assert np.array_equal(s.v_noisy.values, v_clean.values)
             assert np.array_equal(data.dv[i], v_clean.values - v_ref.values)
 
+    def test_reference_frame_of_another_schedule_refused(
+            self, tiny_mesh, tiny_mesh_alt, tiny_schedule, tiny_rmat):
+        v_ref = VoltageFrame(values=np.zeros(tiny_schedule.n_measurements),
+                             schedule_id="elsewhere")
+        with pytest.raises(ProvenanceError, match="reference frame"):
+            make_sample(0, 1, tiny_mesh_alt, tiny_mesh, tiny_schedule,
+                        StimPattern(), None, tiny_rmat, TINY_BOUNDS, v_ref)
+
     def test_inverse_crime_guard(self, tmp_path, tiny_mesh, tiny_schedule,
                                  tiny_rmat):
         with pytest.raises(ProvenanceError, match="identical"):

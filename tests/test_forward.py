@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
 from eitprobe import gn
@@ -13,9 +12,10 @@ from eitprobe.datagen import TargetSpec, rasterize_target
 from eitprobe.errors import (DimensionError, IllConditionedError,
                              SingularSystemError)
 from eitprobe.forward import (DEFAULT_CONTACT_IMPEDANCE, SparseSystem,
-                              StimPattern, assemble_system, compute_jacobian,
-                              homogeneous_field, solve_forward,
-                              solve_injections, write_frame_csv)
+                              StimPattern, _band_sweep, assemble_system,
+                              compute_jacobian, homogeneous_field,
+                              solve_forward, solve_injections,
+                              write_frame_csv)
 from eitprobe.mesh import Mesh, RefinementSpec, TankGeometry, _face_areas
 from eitprobe.mesh import build_mesh
 
@@ -23,10 +23,11 @@ SIGMA_REF = 0.15
 
 # Recorded once from the tiny-mesh homogeneous solve; guards the whole
 # forward chain (grid, assembly, ordering, factorization) bit-for-bit. The
-# factorization is LAPACK's band Cholesky of the node block (dpbtrf, with
-# dtbtrs sweeps) and the electrode border, with OpenBLAS 0.3.31's LAPACK
-# and BLAS; the digest is the same on one BLAS thread and on two.
-TINY_FRAME_SHA256 = "2c7eeab8385ee177d055e5f6e48ac8d830100a75341392553bbecc6e972905a0"
+# matrix is summed by a fixed scatter in pattern order; the factorization is
+# LAPACK's band Cholesky of the node block (dpbtrf), swept in blocks of b
+# rows by dtrsm and dtrmm, and the electrode border, with OpenBLAS 0.3.31's
+# LAPACK and BLAS; the digest is the same on one BLAS thread and on two.
+TINY_FRAME_SHA256 = "a042415c195a484882be56a077fe95fbd7fd042155e505dccfc6f07d83a9aa31"
 
 
 @pytest.fixture(scope="module")
@@ -101,8 +102,9 @@ def test_matrix_linear_in_sigma_and_admittance(tiny_mesh):
 
 
 def _assemble_per_call(mesh, sigma, z):
-    """The whole CEM assembly computed from scratch, entry order and all;
-    assemble_system takes every conductivity-free part from the mesh."""
+    """The whole CEM assembly computed from scratch as a dense matrix:
+    every entry summed in pattern order, then symmetrized; assemble_system
+    takes every conductivity-free part from the mesh."""
     n, l = mesh.n_nodes, mesh.n_electrodes
     grads = mesh.shape_gradients
     vols = mesh.volumes
@@ -123,16 +125,17 @@ def _assemble_per_call(mesh, sigma, z):
         rows += [pidx, eidx, np.array([n + k])]
         cols += [eidx, pidx, np.array([n + k])]
         vals += [-w, -w, np.array([fa.sum() / z])]
-    full = coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n + l, n + l)).tocsc()
-    return ((full + full.T) * 0.5).tocsc()
+    full = np.zeros((n + l, n + l))
+    # unbuffered, in entry order: each sum is rounded as a sequential one
+    np.add.at(full, (np.concatenate(rows), np.concatenate(cols)),
+              np.concatenate(vals))
+    return (full + full.T) * 0.5
 
 
-def _assert_same_matrix(a, b):
-    assert np.array_equal(a.indptr, b.indptr)
-    assert np.array_equal(a.indices, b.indices)
-    assert np.array_equal(a.data, b.data)
+def _assert_matches_per_call(mesh, sigma, z):
+    got = assemble_system(mesh, sigma, z).matrix
+    assert np.array_equal(got.toarray(), _assemble_per_call(mesh, sigma, z))
+    return got
 
 
 def test_assembly_matches_the_per_call_algorithm(tiny_mesh_alt):
@@ -140,22 +143,24 @@ def test_assembly_matches_the_per_call_algorithm(tiny_mesh_alt):
     sigma = rasterize_target(tiny_mesh_alt, target)
     assert 0 < np.count_nonzero(sigma == target.sigma_in) < sigma.size
     for z in (DEFAULT_CONTACT_IMPEDANCE, 0.3):
-        _assert_same_matrix(assemble_system(tiny_mesh_alt, sigma, z).matrix,
-                            _assemble_per_call(tiny_mesh_alt, sigma, z))
+        _assert_matches_per_call(tiny_mesh_alt, sigma, z)
 
 
 def test_assembly_keeps_no_conductivity_state(tiny_mesh_alt):
     # alternating fields and impedances: every call matches a fresh
-    # assembly, and the pattern the mesh holds cannot be written to
+    # assembly, every field has the same structure, and the pattern the
+    # mesh holds cannot be written to
     rng = np.random.default_rng(4)
     cases = [(rng.uniform(0.05, 0.3, tiny_mesh_alt.n_elements), z)
              for z in (DEFAULT_CONTACT_IMPEDANCE, 0.07)]
-    for sigma, z in cases + cases:
-        _assert_same_matrix(assemble_system(tiny_mesh_alt, sigma, z).matrix,
-                            _assemble_per_call(tiny_mesh_alt, sigma, z))
+    got = [_assert_matches_per_call(tiny_mesh_alt, sigma, z)
+           for sigma, z in cases + cases]
+    for matrix in got[1:]:
+        assert np.array_equal(matrix.indptr, got[0].indptr)
+        assert np.array_equal(matrix.indices, got[0].indices)
     pattern = tiny_mesh_alt.cem_pattern
-    for a in (pattern.kernels, pattern.rows, pattern.cols,
-              pattern.electrode_values):
+    for a in (pattern.kernels, pattern.electrode_values, pattern.indptr,
+              pattern.indices, pattern.slot):
         assert not a.flags.writeable
 
 
@@ -230,6 +235,45 @@ def test_block_factor_matches_the_dense_matrix(tiny_mesh_alt):
     expect = sla.solve(dense, rhs, assume_a="pos")
     got = factor.solve(rhs)
     assert np.abs(got - expect).max() <= 1e-10 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("trans", [False, True])
+@pytest.mark.parametrize("columns", [1, 3, 32])
+def test_band_sweep_matches_the_dense_triangular_solve(tiny_system, columns,
+                                                       trans):
+    # the tiny node block is 10 whole blocks of b rows and a short last
+    # one; right-hand sides start at the top, in the middle of a block and
+    # inside the short last block
+    factor = tiny_system._reduced[1]
+    band = factor.band
+    b, m = band.shape[0] - 1, band.shape[1]
+    assert (m, b) == (1343, 127)
+    low = _dense_factor(factor)[:m, :m]
+    rng = np.random.default_rng(columns)
+    for first in (0, 3 * b + b // 2, m - m % b + 5):
+        y = rng.standard_normal((m, columns))
+        y[:first] = 0.0
+        got = _band_sweep(band, y, trans)
+        expect = sla.solve_triangular(low, y, lower=True, trans=int(trans))
+        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+    assert not _band_sweep(band, np.zeros((m, columns)), trans).any()
+
+
+def test_band_sweep_of_a_single_block():
+    # n <= b: the factor is one diagonal block, read through a window of
+    # leading dimension b over band rows that lie below the matrix
+    rng = np.random.default_rng(6)
+    n, b = 5, 8
+    a = rng.standard_normal((n, n))
+    low = np.linalg.cholesky(a @ a.T + n * np.eye(n))
+    band = np.zeros((b + 1, n), order="F")
+    for d in range(n):
+        band[d, :n - d] = np.diagonal(low, -d)
+    y = rng.standard_normal((n, 3))
+    for trans in (False, True):
+        expect = sla.solve_triangular(low, y, lower=True, trans=int(trans))
+        got = _band_sweep(band, y, trans)
+        assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
 
 
 def test_block_width_is_the_half_bandwidth_of_the_generation_meshes():
