@@ -10,17 +10,17 @@ once per conductivity, and the factor is reused across every injection.
 The factorization keeps the mesh's own order. ``build_mesh`` numbers nodes
 layer by layer and ring by ring, so the numbers of two coupled nodes differ
 by at most one layer plus two rings less one (a ring's last cell wraps
-round to its first node): the node block is banded, with a half-bandwidth b
-of 127 on the tiny test meshes and 287 on the desk generation mesh, read
-from the assembled pattern. It is held in LAPACK's lower band storage and
-factored by LAPACK's band Cholesky ``dpbtrf``, which runs level-3 BLAS
-inside the band. The sweeps through the factor run level-3 BLAS too: they
-take the factor in blocks of b rows, each a ``dtrsm`` and a ``dtrmm`` on
-all right-hand sides at once, read in place from the band storage as
-LAPACK's own ``dpbtrf`` reads it. The 32 electrode unknowns couple to
-nodes all along the band; they are a dense border, eliminated last through
-their 32-by-32 Schur complement. The factor costs
-about n b^2 flops for n nodes and holds (b + 1) n doubles, 15.6 MB on the
+round to its first node): 127 on the tiny test meshes and 287 on the desk
+generation mesh. The solve order (``CemPattern.order``) drops node 0, the
+ground, and puts each electrode's unknown at the middle of its patch's
+node numbers, so the whole grounded system is banded, with a half-bandwidth
+b of the node span plus one layer's electrodes: 135 tiny, 295 desk. It is
+held in LAPACK's lower band storage and factored by LAPACK's band Cholesky
+``dpbtrf``, which runs level-3 BLAS inside the band. The sweeps through the
+factor run level-3 BLAS too: they take the factor in blocks of b rows, each
+a ``dtrsm`` and a ``dtrmm`` on all right-hand sides at once, read in place
+from the band storage as LAPACK's own ``dpbtrf`` reads it. The factor costs
+about n b^2 flops for n unknowns and holds (b + 1) n doubles, 16 MB on the
 desk generation mesh; each right-hand side costs about 4 n b more.
 
 Assembly computes per call only the values that scale with the
@@ -47,8 +47,8 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg.blas import dsyrk, dtrmm, dtrsm
-from scipy.linalg.lapack import dpbtrf, dpotrf, dpotrs
+from scipy.linalg.blas import dtrmm, dtrsm
+from scipy.linalg.lapack import dpbtrf
 from scipy.sparse import csc_matrix
 
 from .errors import DimensionError, SingularSystemError, SolverError
@@ -178,56 +178,6 @@ def homogeneous_field(mesh: Mesh, value: float) -> np.ndarray:
     return np.full(mesh.n_elements, float(value))
 
 
-class _BorderedCholesky:
-    """Cholesky factor L of a grounded CEM matrix: a banded node block, then
-    the electrode unknowns as a dense border.
-
-    ``band`` holds the node block's factor L_n in LAPACK's lower band
-    storage: entry (r, c) of L_n, for 0 <= r - c <= b, sits at
-    ``band[r - c, c]``, so the factor is (b + 1) n doubles for n nodes and
-    half-bandwidth b, read from the matrix's CSC structure. LAPACK's
-    ``dpbtrf`` computes it in place, blocked so that the work inside the
-    band is level-3 BLAS, in about n b^2 flops; ``_band_sweep`` sweeps
-    through it the same way. ``border`` holds W = L_n^-1 B, with B the
-    node-electrode coupling, and ``schur`` the factor of the electrode
-    Schur complement E - W'W. A pivot that is not positive raises
-    SingularSystemError.
-
-    The forward sweep skips the rows above a right-hand side's first
-    nonzero one: B couples each electrode only to the nodes of its patch,
-    so W's sweep starts part way down the band (row 1,679 of 6,719 on the
-    desk generation mesh), and an injection, which puts current on
-    electrodes only, needs no forward sweep at all.
-    """
-
-    def __init__(self, matrix: csc_matrix, n_border: int) -> None:
-        m = matrix.shape[0] - n_border
-        rows = matrix.indices
-        cols = np.repeat(np.arange(matrix.shape[1]), np.diff(matrix.indptr))
-        lower = (rows >= cols) & (rows < m)
-        rows, cols = rows[lower], cols[lower]
-        band = np.zeros((int((rows - cols).max(initial=0)) + 1, m), order="F")
-        band[rows - cols, cols] = matrix.data[lower]
-        self.band, info = dpbtrf(band, lower=1, overwrite_ab=1)
-        _check_pivots(info, "the node block")
-        self.border = _band_sweep(self.band, matrix[:m, m:].toarray())
-        schur = np.asfortranarray(matrix[m:, m:].toarray())
-        dsyrk(-1.0, self.border, beta=1.0, c=schur, trans=1, lower=1,
-              overwrite_c=1)
-        _, info = dpotrf(schur, lower=1, clean=0, overwrite_a=1)
-        _check_pivots(info, "the electrode border")
-        self.schur = schur
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The solution for each column of ``rhs``, by a forward sweep
-        through the node block, the border's Schur solve and a back sweep.
-        ``rhs`` is not written to."""
-        m, border = self.band.shape[1], self.border
-        y = _band_sweep(self.band, rhs[:m])
-        xe = dpotrs(self.schur, rhs[m:] - border.T @ y, lower=1)[0]
-        return np.vstack([_band_sweep(self.band, y - border @ xe, True), xe])
-
-
 def _band_sweep(band: np.ndarray, y: np.ndarray,
                 trans: bool = False) -> np.ndarray:
     """L^-1 y, or L'^-1 y with ``trans``, for the lower band factor L that
@@ -242,7 +192,10 @@ def _band_sweep(band: np.ndarray, y: np.ndarray,
     then, when a last block is short (p < b), a rectangle R of p by b - p
     for a dense product. The positions of those windows outside the band
     alias other entries of the factor; they lie only in the triangle that
-    ``dtrsm`` and ``dtrmm`` leave unread. The forward sweep starts at the
+    ``dtrsm`` and ``dtrmm`` leave unread. ``dtrmm`` multiplies from the
+    right, on the transposed right-hand sides: OpenBLAS's left-side
+    ``dtrmm`` rounds a triangle's last rows differently on one thread and
+    on two, the right-side one does not. The forward sweep starts at the
     block of the first nonzero row of ``y``; the rows above it stay zero.
     """
     b, m = band.shape[0] - 1, band.shape[1]
@@ -261,8 +214,8 @@ def _band_sweep(band: np.ndarray, y: np.ndarray,
             if r + p < m:
                 q = min(b, m - r - b)
                 below = x[r + b:r + b + q]
-                rhs[:q] -= dtrmm(1.0, window(r + b, r, q, q), below,
-                                 trans_a=1)
+                rhs[:q] -= dtrmm(1.0, window(r + b, r, q, q), below.T,
+                                 side=1).T
                 rhs[q:] -= window(r + b, r + q, q, b - q).T @ below
             x[r:r + p] = dtrsm(1.0, window(r, r, p, p), rhs, lower=1,
                                trans_a=1, overwrite_b=1)
@@ -276,19 +229,12 @@ def _band_sweep(band: np.ndarray, y: np.ndarray,
         p = len(rhs)
         if r > start:
             left = x[r - b:r]
-            rhs -= dtrmm(1.0, window(r, r - b, p, p), left[:p])
+            rhs -= dtrmm(1.0, window(r, r - b, p, p), left[:p].T, side=1,
+                         trans_a=1).T
             rhs -= window(r, r - b + p, p, b - p) @ left[p:]
         x[r:r + p] = dtrsm(1.0, window(r, r, p, p), rhs, lower=1,
                            overwrite_b=1)
     return x
-
-
-def _check_pivots(info: int, what: str) -> None:
-    """Raise SingularSystemError for a Cholesky factorization's ``info``."""
-    if info != 0:
-        raise SingularSystemError(
-            f"factorization failed: a pivot of {what} is not positive "
-            f"(LAPACK info {info})")
 
 
 @dataclass(eq=False)
@@ -297,12 +243,11 @@ class SparseSystem:
     canonical CSC form and shares its structure with every system on the
     mesh (``Mesh.cem_pattern``). Node 0 is the ground: its potential is
     fixed at zero, and the system solved is the matrix less its first row
-    and column. That system is factorized, on the first solve, by LAPACK's
-    band Cholesky of the layer-banded node block, with the electrode
-    unknowns as a dense border (``_BorderedCholesky``): about n b^2 flops
-    and (b + 1) n doubles for n nodes and half-bandwidth b; each solve
-    sweeps all its right-hand sides through the band in blocks of b
-    rows."""
+    and column, taken in the mesh's solve order (``CemPattern.order``).
+    On the first solve it is factored by one LAPACK band Cholesky: about
+    n b^2 flops and (b + 1) n doubles for n unknowns and half-bandwidth b;
+    each solve sweeps all its right-hand sides through the band in blocks
+    of b rows."""
 
     mesh: Mesh
     matrix: csc_matrix           # full (n_nodes + n_el) square, symmetric
@@ -312,31 +257,57 @@ class SparseSystem:
         return self.mesh.n_nodes
 
     @cached_property
-    def _reduced(self):
-        reduced = self.matrix[1:, 1:]
-        return reduced, _BorderedCholesky(reduced, self.mesh.n_electrodes)
+    def _factor(self) -> np.ndarray:
+        """The Cholesky factor L in LAPACK's lower band storage, in solve
+        order: entry (r, c), for 0 <= r - c <= b, sits at ``band[r - c, c]``.
+        The band is the lower triangle of the grounded matrix, permuted and
+        scattered straight from the CSC; ``dpbtrf`` factors it in place,
+        blocked so that the work inside the band is level-3 BLAS. A pivot
+        that is not positive raises SingularSystemError naming its
+        unknown."""
+        order = self.mesh.cem_pattern.order
+        position = np.full(self.matrix.shape[0], -1)     # the ground: none
+        position[order] = np.arange(order.size)
+        rows = position[self.matrix.indices]
+        cols = np.repeat(position, np.diff(self.matrix.indptr))
+        lower = (rows >= cols) & (cols >= 0)
+        rows, cols = rows[lower], cols[lower]
+        band = np.zeros((int((rows - cols).max(initial=0)) + 1, order.size),
+                        order="F")
+        band[rows - cols, cols] = self.matrix.data[lower]
+        band, info = dpbtrf(band, lower=1, overwrite_ab=1)
+        if info < 0:
+            raise SolverError(f"dpbtrf rejected its argument {-info}")
+        if info > 0:
+            unknown = order[info - 1]
+            name = (f"node {unknown}" if unknown < self.n_nodes
+                    else f"electrode {unknown - self.n_nodes}")
+            raise SingularSystemError(
+                f"factorization failed: the pivot of {name} is not "
+                f"positive (LAPACK info {info})")
+        return band
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for the right-hand sides in the columns of ``rhs``; node 0,
-        the ground, is held at zero. Raises SolverError on a residual miss."""
+        the ground, is held at zero and its row of ``rhs`` is not read.
+        Raises SolverError on a residual miss."""
         b = np.asarray(rhs, dtype=np.float64)
         if b.ndim != 2 or b.shape[0] != self.matrix.shape[0]:
             raise DimensionError(f"right-hand sides must be a matrix of "
                                  f"{self.matrix.shape[0]}-row columns, not {b.shape}")
-        reduced, factor = self._reduced
-        br = b[1:]
-        xr = factor.solve(br)
-        if not np.all(np.isfinite(xr)):
+        order, band = self.mesh.cem_pattern.order, self._factor
+        x = np.zeros_like(b)
+        x[order] = _band_sweep(band, _band_sweep(band, b[order]), True)
+        if not np.all(np.isfinite(x)):
             raise SingularSystemError("solve produced non-finite values")
-        resid = reduced @ xr - br
-        scale = np.linalg.norm(br, axis=0)
+        # x[0] = 0, so these rows are exactly the grounded residual
+        resid = (self.matrix @ x - b)[1:]
+        scale = np.linalg.norm(b[1:], axis=0)
         # zero rhs columns trivially give zero solutions and are exempt
         rel = np.linalg.norm(resid, axis=0) / np.maximum(scale, 1e-300)
         if not np.all((rel <= _RESIDUAL_RTOL) | (scale == 0)):
             raise SolverError(
                 f"relative residual {float(rel.max()):.3e} exceeds {_RESIDUAL_RTOL}")
-        x = np.zeros_like(b)
-        x[1:] = xr
         return x
 
     def electrode_currents(self, solution: np.ndarray) -> np.ndarray:

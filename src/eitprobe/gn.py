@@ -15,9 +15,9 @@ ever factorized; an element-by-element dense matrix is never formed. Both
 are SPD: the dense block is Cholesky-factorized, and S is factorized by
 SuperLU in symmetric mode with diagonal pivoting (``_factor_spd``). S is the
 package's only SuperLU system: S couples elements across faces, with no
-narrow band at hand, while the forward solver factors each CEM system's
-node block, banded by the mesh's layer order, with LAPACK's band Cholesky
-(``forward._BorderedCholesky``).
+narrow band at hand, while the forward solver factors each CEM system,
+banded by the mesh's layer order, with LAPACK's band Cholesky
+(``forward.SparseSystem``).
 
 Reciprocal twins share a Jacobian row (see ``forward.Jacobian``): U = Ud P'
 with P the measurement-to-row expansion and P'P = C = diag(counts), so

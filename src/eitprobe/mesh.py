@@ -255,13 +255,26 @@ class CemPattern(NamedTuple):
     scatter. Each kernel is exactly symmetric, and so is every electrode
     block, so the sums a scatter forms at (i, j) and at (j, i) add the same
     values in the same order: the assembled matrix is exactly symmetric.
-    Every array is read-only."""
+
+    ``order`` is the solve order of the grounded system, the unknown at
+    each position of its band factor: nodes 1 to n - 1 in mesh order (node
+    0 is the ground), with electrode k's unknown inserted at the middle of
+    its patch's node numbers, (min + max) / 2. An electrode couples to every
+    node of its patch. Numbered after the patch's last node it would reach
+    back over the whole patch, which on a patch two element layers tall is
+    wider than the node band; from the middle it reaches half as far. So
+    the system's band is the node band plus the electrodes placed between
+    two coupled nodes, one layer's worth: 135 on the tiny meshes, 295 on
+    the desk generation mesh, and 535 on a tiny tank meshed at near = 0.19,
+    where numbering after the last node gives 874. Every array is
+    read-only."""
 
     kernels: np.ndarray         # (n_elements, 4, 4) grad phi_i . grad phi_j
     electrode_values: np.ndarray  # electrode-term entries at unit admittance
     indptr: np.ndarray          # int32 CSC column starts
     indices: np.ndarray         # int32 CSC row of every position
     slot: np.ndarray            # int32 CSC position of every entry
+    order: np.ndarray           # unknown at each solve position, ground out
     n_components: int           # connected components of the system graph
 
 
@@ -305,13 +318,18 @@ def _cem_pattern(mesh: Mesh) -> CemPattern:
     indices = row.astype(np.int32)
     graph = csc_matrix((np.ones(key.size), indices, indptr), shape=(size, size))
     n_components, _ = connected_components(graph, directed=False)
+    # sort keys, twice a node number: node i at 2i, electrode k at the
+    # min + max of its patch; a stable sort puts it after a node it ties
+    middle = [p.min() + p.max() for p in mesh.electrodes]
+    key = np.concatenate([2 * np.arange(1, n), np.array(middle, dtype=int)])
+    order = np.arange(1, size)[np.argsort(key, kind="stable")]
     pattern = CemPattern(kernels=kernels,
                          electrode_values=np.concatenate(vals),
                          indptr=indptr, indices=indices,
-                         slot=slot.astype(np.int32),
+                         slot=slot.astype(np.int32), order=order,
                          n_components=int(n_components))
     for a in (pattern.kernels, pattern.electrode_values, indptr, indices,
-              pattern.slot):
+              pattern.slot, order):
         a.flags.writeable = False
     return pattern
 

@@ -24,10 +24,10 @@ SIGMA_REF = 0.15
 # Recorded once from the tiny-mesh homogeneous solve; guards the whole
 # forward chain (grid, assembly, ordering, factorization) bit-for-bit. The
 # matrix is summed by a fixed scatter in pattern order; the factorization is
-# LAPACK's band Cholesky of the node block (dpbtrf), swept in blocks of b
-# rows by dtrsm and dtrmm, and the electrode border, with OpenBLAS 0.3.31's
+# LAPACK's band Cholesky of the grounded system in solve order (dpbtrf),
+# swept in blocks of b rows by dtrsm and dtrmm, with OpenBLAS 0.3.31's
 # LAPACK and BLAS; the digest is the same on one BLAS thread and on two.
-TINY_FRAME_SHA256 = "a042415c195a484882be56a077fe95fbd7fd042155e505dccfc6f07d83a9aa31"
+TINY_FRAME_SHA256 = "37bed4956b22f505e5f1baa2ee8d916dcf72bcdb96e94116d2410eceadcd9eb2"
 
 
 @pytest.fixture(scope="module")
@@ -160,7 +160,7 @@ def test_assembly_keeps_no_conductivity_state(tiny_mesh_alt):
         assert np.array_equal(matrix.indices, got[0].indices)
     pattern = tiny_mesh_alt.cem_pattern
     for a in (pattern.kernels, pattern.electrode_values, pattern.indptr,
-              pattern.indices, pattern.slot):
+              pattern.indices, pattern.slot, pattern.order):
         assert not a.flags.writeable
 
 
@@ -207,48 +207,48 @@ def test_factor_fill_no_worse_than_unsymmetric_mmd(tiny_mesh):
     assert factor.L.nnz + factor.U.nnz <= oracle.L.nnz + oracle.U.nnz
 
 
-def _dense_factor(factor):
-    """The bordered factor written out as one dense lower triangle."""
-    b, m = factor.band.shape[0] - 1, factor.band.shape[1]
-    n_el = factor.schur.shape[0]
-    low = np.zeros((m + n_el, m + n_el))
+def _dense_factor(band):
+    """The band factor written out as one dense lower triangle."""
+    b, m = band.shape[0] - 1, band.shape[1]
+    low = np.zeros((m, m))
     for d in range(b + 1):
         c = np.arange(m - d)
-        low[c + d, c] = factor.band[d, :m - d]
-    low[m:, :m] = factor.border.T
-    low[m:, m:] = np.tril(factor.schur)
+        low[c + d, c] = band[d, :m - d]
     return low
 
 
 def test_block_factor_matches_the_dense_matrix(tiny_mesh_alt):
     # the tiny generation mesh with a contrast target: L L' rebuilds the
-    # grounded matrix, and a solve with node and electrode rows set matches
-    # the dense solve
+    # grounded matrix in solve order, and a solve with node and electrode
+    # rows set matches the dense solve
     target = TargetSpec(center=(2.5, 0.0, 0.0), semi_axes=(1.0, 1.5, 2.0))
     sigma = rasterize_target(tiny_mesh_alt, target)
     assert 0 < np.count_nonzero(sigma == target.sigma_in) < sigma.size
-    reduced, factor = assemble_system(tiny_mesh_alt, sigma)._reduced
-    dense = reduced.toarray()
-    low = _dense_factor(factor)
+    system = assemble_system(tiny_mesh_alt, sigma)
+    order = tiny_mesh_alt.cem_pattern.order
+    dense = system.matrix.toarray()[order][:, order]
+    low = _dense_factor(system._factor)
     assert np.abs(low @ low.T - dense).max() <= 1e-13 * np.abs(dense).max()
-    rhs = np.random.default_rng(2).standard_normal((dense.shape[0], 3))
-    expect = sla.solve(dense, rhs, assume_a="pos")
-    got = factor.solve(rhs)
-    assert np.abs(got - expect).max() <= 1e-10 * np.abs(expect).max()
+    rhs = np.random.default_rng(2).standard_normal((dense.shape[0] + 1, 3))
+    rhs[0] = 0.0
+    expect = sla.solve(system.matrix.toarray()[1:, 1:], rhs[1:],
+                       assume_a="pos")
+    got = system.solve(rhs)
+    assert np.all(got[0] == 0.0)
+    assert np.abs(got[1:] - expect).max() <= 1e-10 * np.abs(expect).max()
 
 
 @pytest.mark.parametrize("trans", [False, True])
 @pytest.mark.parametrize("columns", [1, 3, 32])
 def test_band_sweep_matches_the_dense_triangular_solve(tiny_system, columns,
                                                        trans):
-    # the tiny node block is 10 whole blocks of b rows and a short last
-    # one; right-hand sides start at the top, in the middle of a block and
+    # the tiny factor is 10 whole blocks of b rows and a short last one of
+    # 25; right-hand sides start at the top, in the middle of a block and
     # inside the short last block
-    factor = tiny_system._reduced[1]
-    band = factor.band
+    band = tiny_system._factor
     b, m = band.shape[0] - 1, band.shape[1]
-    assert (m, b) == (1343, 127)
-    low = _dense_factor(factor)[:m, :m]
+    assert (m, b) == (1375, 135)
+    low = _dense_factor(band)
     rng = np.random.default_rng(columns)
     for first in (0, 3 * b + b // 2, m - m % b + 5):
         y = rng.standard_normal((m, columns))
@@ -276,19 +276,49 @@ def test_band_sweep_of_a_single_block():
         assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
 
 
+def _spans(mesh):
+    """(node span, solve-order span): the half-bandwidths of the grounded
+    node block in mesh order and of the grounded system in solve order,
+    read from the mesh's CEM pattern."""
+    pattern = mesh.cem_pattern
+    size = mesh.n_nodes + mesh.n_electrodes
+    rows = pattern.indices
+    cols = np.repeat(np.arange(size), np.diff(pattern.indptr))
+    grounded = (rows > 0) & (cols > 0)
+    nodes = grounded & (rows < mesh.n_nodes) & (cols < mesh.n_nodes)
+    position = np.empty(size, dtype=int)
+    position[pattern.order] = np.arange(size - 1)
+    solve = position[rows[grounded]] - position[cols[grounded]]
+    return (int(np.abs(rows[nodes] - cols[nodes]).max()),
+            int(np.abs(solve).max()))
+
+
 def test_block_width_is_the_half_bandwidth_of_the_generation_meshes():
-    # one layer plus two rings less one node; the factor holds (b + 1) n
-    # doubles in band storage, so these widths pin its memory
+    # one layer plus two rings less one node, then one layer's electrodes
+    # placed among the nodes; the factor holds (b + 1) n doubles in band
+    # storage, so these widths pin its memory
     for geom, spec, width in [
             (TankGeometry(tank_height=16.0),
              RefinementSpec(near=1.2, far=12.0, growth=2.2, seed=5), 127),
             (TankGeometry(), RefinementSpec(near=0.3, seed=1), 287)]:
         mesh = build_mesh(geom, spec)
         system = assemble_system(mesh, homogeneous_field(mesh, SIGMA_REF))
-        reduced, factor = system._reduced
-        nodes = reduced[:mesh.n_nodes - 1, :mesh.n_nodes - 1].tocoo()
-        assert width == np.abs(nodes.row - nodes.col).max()
-        assert factor.band.shape == (width + 1, mesh.n_nodes - 1)
+        epl = geom.electrodes_per_layer
+        assert _spans(mesh) == (width, width + epl)
+        assert system._factor.shape == (width + epl + 1,
+                                        mesh.n_nodes - 1 + mesh.n_electrodes)
+
+
+def test_electrodes_in_the_middle_of_tall_patches_keep_the_band_narrow():
+    # near the probe the elements are small enough that every patch is two
+    # element layers tall: an electrode numbered after its patch's last
+    # node would reach 874 positions back to the first, while from the
+    # middle of the patch the band grows by one layer's electrodes only
+    geom = TankGeometry(tank_height=16.0)
+    mesh = build_mesh(geom, RefinementSpec(near=0.19, far=12.0, growth=2.2,
+                                           seed=5))
+    assert mesh.n_nodes == 14688
+    assert _spans(mesh) == (527, 527 + geom.electrodes_per_layer)
 
 
 def test_zero_pivot_raises_singular_system_error(tiny_mesh, tiny_system):
@@ -300,15 +330,14 @@ def test_zero_pivot_raises_singular_system_error(tiny_mesh, tiny_system):
     broken = SparseSystem(mesh=tiny_mesh, matrix=matrix.tocsc())
     rhs = np.zeros((matrix.shape[0], 1))
     rhs[tiny_mesh.n_nodes], rhs[tiny_mesh.n_nodes + 1] = 1.0, -1.0
-    with pytest.raises(SingularSystemError, match="factorization.*node block"):
+    with pytest.raises(SingularSystemError, match="factorization.*node 5 "):
         broken.solve(rhs)
 
 
 def test_electrode_without_admittance_raises_singular_system_error(
         tiny_mesh, tiny_system):
-    # electrode 3 cut off, its coupling and its diagonal zeroed: the node
-    # block still factors, and the zero pivot shows up in the border's
-    # Schur complement
+    # electrode 3 cut off, its coupling and its diagonal zeroed: its pivot
+    # is the first that is not positive, and the error names it
     matrix = tiny_system.matrix.tolil()
     e = tiny_mesh.n_nodes + 3
     matrix[e, :] = 0.0
@@ -316,7 +345,8 @@ def test_electrode_without_admittance_raises_singular_system_error(
     broken = SparseSystem(mesh=tiny_mesh, matrix=matrix.tocsc())
     rhs = np.zeros((matrix.shape[0], 1))
     rhs[tiny_mesh.n_nodes], rhs[tiny_mesh.n_nodes + 1] = 1.0, -1.0
-    with pytest.raises(SingularSystemError, match="factorization.*border"):
+    with pytest.raises(SingularSystemError,
+                       match="factorization.*electrode 3 "):
         broken.solve(rhs)
 
 
