@@ -5,9 +5,10 @@ height uniform over the electrode section pick the direction, a uniform
 edge-to-edge distance to the probe's bore picks how far the surface sits,
 and a uniform random rotation orients the body. The bore is the cylinder
 the mesh has through the whole tank, so the distance is that of the
-z-axis from the ellipsoid's shadow on the xy-plane less the bore radius,
-certified to 1e-10 by a 2-D Newton root or refused with ``SolverError``.
-Brent's method finds the center radius that realizes a requested distance.
+z-axis from the ellipsoid's shadow ellipse on the xy-plane less the bore
+radius. Both that distance and the center radius that realizes a requested
+one are bisections on monotone closed-form functions of the shadow,
+halved until no double lies between the ends.
 
 Measurement noise is zero-mean Gaussian per channel with an SNR that
 falls linearly in dB as the measuring pair moves away from the driving
@@ -31,8 +32,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .errors import (DimensionError, EitProbeError, ProvenanceError,
-                     SolverError)
+from .errors import DimensionError, EitProbeError, ProvenanceError
 from .forward import (MeasurementSchedule, StimPattern, VoltageFrame,
                       assemble_system, homogeneous_field, solve_forward,
                       write_frame_csv)
@@ -109,121 +109,55 @@ class SampleBounds:
         TargetSpec(center=(0.0, 0.0, 0.0), semi_axes=self.semi_axes)
 
 
-# the kernel's certification width and its Newton step cap
-_EDGE_TOL = 1e-10
-_NEWTON_ITERS = 100
-
-
-def _bore_bounds(rot: np.ndarray, cx: float, cy: float, semi_axes,
-                 radius: float) -> tuple:
-    """Bounds ``(lower, upper, steps)`` on the distance between an ellipsoid
-    centered over (cx, cy) and the bore of ``radius`` about the z-axis.
-
-    The ellipsoid's shadow on the xy-plane is the ellipse of shape matrix
-    S = (R diag(a^2) R')_xy, and the bore distance is the axis's distance
-    from it less ``radius``, or zero. In S's principal frame (eigenvalues
-    b_i) the axis sits at w; its nearest shadow point is b_i w_i/(b_i + s)
-    at the root of sum b_i w_i^2/(b_i + s)^2 = 1 (Eberly, *Distance from a
-    Point to an Ellipse, an Ellipsoid, or a Hyperellipsoid*, 2013), convex
-    and decreasing in s, so Newton from s = 0 climbs to it. The gap from w
-    to each step's point, rescaled onto the ellipse, bounds the axis's
-    distance from above, and w's height over the supporting line normal to
-    that gap from below, where no bound below ``radius`` matters. Newton
-    stops when they agree to ``_EDGE_TOL``, or after ``_NEWTON_ITERS``.
-    """
+def _shadow(rot: np.ndarray, semi_axes) -> tuple:
+    """The shadow on the xy-plane of an ellipsoid of rotation ``rot``: the
+    eigenvalues ``b0 >= b1`` of its shape matrix S = (R diag(a^2) R')_xy,
+    and the cosine and sine of ``b0``'s axis angle. About its center the
+    shadow is x'S^-1 x <= 1, an ellipse of semi-axes sqrt(b0), sqrt(b1)."""
     (r00, r01, r02), (r10, r11, r12), _ = rot.tolist()
     a0s, a1s, a2s = (float(v) ** 2 for v in semi_axes)
     s00 = r00 * r00 * a0s + r01 * r01 * a1s + r02 * r02 * a2s
     s01 = r00 * r10 * a0s + r01 * r11 * a1s + r02 * r12 * a2s
     s11 = r10 * r10 * a0s + r11 * r11 * a1s + r12 * r12 * a2s
     mid, half = (s00 + s11) / 2.0, math.hypot((s00 - s11) / 2.0, s01)
-    b0, b1 = mid + half, mid - half
     phi = math.atan2(2.0 * s01, s00 - s11) / 2.0
-    c, sn = math.cos(phi), math.sin(phi)
-    w0, w1 = -c * cx - sn * cy, sn * cx - c * cy
-    if w0 * w0 / b0 + w1 * w1 / b1 <= 1.0:
-        return 0.0, 0.0, 0      # the axis runs through the shadow
-    s, lo = 0.0, radius
-    for step in range(1, _NEWTON_ITERS + 1):
-        e0, e1 = b0 + s, b1 + s
-        form = b0 * (w0 / e0) ** 2 + b1 * (w1 / e1) ** 2
-        k = 1.0 / math.sqrt(form)
-        g0, g1 = w0 - k * b0 * w0 / e0, w1 - k * b1 * w1 / e1
-        hi = math.hypot(g0, g1)
-        if hi > lo:
-            lo = max(lo, (g0 * w0 + g1 * w1
-                          - math.sqrt(b0 * g0 * g0 + b1 * g1 * g1)) / hi)
-        if hi - lo <= _EDGE_TOL:
-            break
-        s += (form - 1.0) / (2.0 * (b0 * w0 * w0 / e0 ** 3
-                                    + b1 * w1 * w1 / e1 ** 3))
-    return lo - radius, max(hi - radius, 0.0), step
+    return mid + half, mid - half, math.cos(phi), math.sin(phi)
 
 
 def _distance(rot: np.ndarray, cx: float, cy: float, semi_axes,
               radius: float) -> float:
-    """The upper bound of ``_bore_bounds``; bounds more than ``_EDGE_TOL``
-    apart raise ``SolverError``."""
-    lo, hi, steps = _bore_bounds(rot, cx, cy, semi_axes, radius)
-    if hi - lo > _EDGE_TOL:
-        raise SolverError(f"probe distance not certified after {steps} Newton "
-                          f"steps: bounds [{float(lo)!r}, {float(hi)!r}]")
-    return hi
+    """Distance between an ellipsoid centered over (cx, cy) and the bore of
+    ``radius`` about the z-axis: the axis's distance from the shadow less
+    ``radius``, or zero.
+
+    In the shadow's principal frame the axis sits at w; outside the shadow
+    its nearest shadow point is b_i w_i/(b_i + s) at the root of
+    sum b_i w_i^2/(b_i + s)^2 = 1 (Eberly, *Distance from a Point to an
+    Ellipse, an Ellipsoid, or a Hyperellipsoid*, 2013). The sum falls in s
+    and is below 1 at s = sqrt(sum b_i w_i^2), so halving [0, that s] until
+    no double lies between its ends brackets the root as closely as doubles
+    can; the distance is taken at the upper end.
+    """
+    b0, b1, c, sn = _shadow(rot, semi_axes)
+    w0, w1 = -c * cx - sn * cy, sn * cx - c * cy
+    if w0 * w0 / b0 + w1 * w1 / b1 <= 1.0:
+        return 0.0      # the axis runs through the shadow
+    lo, hi = 0.0, math.sqrt(b0 * w0 * w0 + b1 * w1 * w1)
+    while lo < (s := (lo + hi) / 2.0) < hi:
+        if b0 * (w0 / (b0 + s)) ** 2 + b1 * (w1 / (b1 + s)) ** 2 > 1.0:
+            lo = s
+        else:
+            hi = s
+    return max(hi * math.hypot(w0 / (b0 + hi), w1 / (b1 + hi)) - radius, 0.0)
 
 
 def target_probe_distance(target: TargetSpec, geom: TankGeometry) -> float:
     """Edge-to-edge distance between the target ellipsoid and the probe bore
-    of ``geom``, accurate to 1e-10; a target that reaches into the bore
-    reports zero. A distance whose Newton root is not certified within the
-    step cap raises ``SolverError`` rather than being recorded."""
+    of ``geom``, to rounding (``_distance``); a target that reaches into the
+    bore reports zero."""
     cx, cy, _ = target.center
     return _distance(target.rotation_matrix(), cx, cy, target.semi_axes,
                      geom.probe_radius)
-
-
-def _brent(f, lo: float, hi: float, flo: float, fhi: float,
-           xtol: float) -> float:
-    """Brent's method (Brent, *Algorithms for Minimization without
-    Derivatives*, 1973, ch. 4) on a bracket with f(lo) < 0 <= f(hi): returns
-    the end with f >= 0 of a bracket narrower than ``xtol``.
-
-    Each step takes the inverse quadratic or secant estimate from the best
-    point when that step is short enough, and bisects otherwise, so the
-    bracket never shrinks much slower than by bisection. The algorithm is
-    that of ``scipy.optimize.brentq``, which is not used because importing
-    ``scipy.optimize`` adds about 8 MB of resident memory to the process.
-    """
-    # cur: best estimate; blk: last point of the other sign; pre: previous
-    xpre, fpre, xcur, fcur = lo, flo, hi, fhi
-    xblk = fblk = spre = scur = 0.0
-    half = xtol / 2.0
-    while True:
-        if (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        sbis = (xblk - xcur) / 2.0
-        if abs(sbis) < half:
-            return xblk if fcur < 0 else xcur
-        stry = math.inf
-        if abs(spre) > half and abs(fcur) < abs(fpre):
-            if xpre == xblk:    # secant; fcur != fpre here
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:               # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                if den != 0.0:
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
-        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - half):
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > half else math.copysign(half, sbis)
-        fcur = f(xcur)
 
 
 def _place_radius(azimuth: float, distance: float, semi_axes, quat,
@@ -231,28 +165,35 @@ def _place_radius(azimuth: float, distance: float, semi_axes, quat,
     """Center radius at which the target sits ``distance`` from the probe
     bore, whatever its height.
 
-    The distance is convex in the center radius and grows with it once the
-    bodies part, so [0, hi] brackets the requested value. Brent's method
-    narrows that bracket on the certified distance (``_distance``) to less
-    than ``step = hi * 2**-48``, the width 48 bisection steps would leave,
-    and returns its upper end r: ``dist(r) >= distance``, while the lower
-    end, less than one step below r, has ``dist < distance``. A distance
-    whose Newton root is not certified raises ``SolverError``.
+    The axis must then lie at D = probe radius + ``distance`` from the
+    shadow, on its parallel curve q(f) = e(f) + D n(f) about the shadow's
+    center, where e(f) is the shadow point of outward normal n(f) at angle
+    f. Since q(f).n(f) = e(f).n(f) + D > 0, the polar angle of q grows with
+    f and stays within a quarter turn of it. So halving f over
+    [psi - pi/2, psi + pi/2], psi the direction of the axis seen from the
+    center, until no double lies between the ends finds the point of q at
+    polar angle psi, and the center radius is |q| there.
     """
-    rot = Rotation.from_quat(quat).as_matrix()
+    b0, b1, c, sn = _shadow(Rotation.from_quat(quat).as_matrix(), semi_axes)
+    big_d = geom.probe_radius + distance
+    # the unit vector from the center to the axis, in the shadow's frame
     ca, sa = math.cos(azimuth), math.sin(azimuth)
+    u0, u1 = -c * ca - sn * sa, sn * ca - c * sa
+    psi = math.atan2(u1, u0)
 
-    def excess(rho: float) -> float:
-        return _distance(rot, rho * ca, rho * sa, semi_axes,
-                         geom.probe_radius) - distance
+    def point(f: float) -> tuple:
+        n0, n1 = math.cos(f), math.sin(f)
+        h = math.sqrt(b0 * n0 * n0 + b1 * n1 * n1)
+        return b0 * n0 / h + big_d * n0, b1 * n1 / h + big_d * n1
 
-    f0 = excess(0.0)
-    if f0 >= 0.0:
-        # even centered on the probe axis the target is that far away
-        return 0.0
-    # every target point then lies at least distance + 1 off the probe wall
-    hi = geom.probe_radius + distance + max(semi_axes) + 1.0
-    return _brent(excess, 0.0, hi, f0, excess(hi), hi * 2.0 ** -48)
+    lo, hi = psi - math.pi / 2.0, psi + math.pi / 2.0
+    while lo < (f := (lo + hi) / 2.0) < hi:
+        q0, q1 = point(f)
+        if u0 * q1 - u1 * q0 < 0.0:
+            lo = f
+        else:
+            hi = f
+    return math.hypot(*point(hi))
 
 
 def sample_target(rng: np.random.Generator, geom: TankGeometry,

@@ -19,10 +19,9 @@ class SingularSystemError(EitProbeError):
 
 class SolverError(EitProbeError):
     """A numerical solver did not settle its answer: a forward solve
-    missed its residual tolerance (``SparseSystem.solve``), or the 2-D
-    Newton root of a target's distance to the probe bore stayed uncertified
-    at its step cap (``datagen._distance``, under ``target_probe_distance``
-    and ``sample_target``)."""
+    missed its residual tolerance (``SparseSystem.solve``), or LAPACK's
+    ``dpbtrf`` rejected an argument of the band factor
+    (``SparseSystem._factor``)."""
 
 
 class IllConditionedError(EitProbeError):

@@ -19,7 +19,7 @@ from eitprobe.datagen import (DATASET_FORMAT, NoiseModel, SampleBounds,
                               pair_separations, rasterize_target,
                               reference_frame, sample_target,
                               snr_per_measurement, target_probe_distance)
-from eitprobe.errors import DimensionError, ProvenanceError, SolverError
+from eitprobe.errors import DimensionError, ProvenanceError
 from eitprobe.forward import (MeasurementSchedule, StimPattern, VoltageFrame,
                               assemble_system, solve_forward)
 from eitprobe.gn import element_to_nodal
@@ -37,7 +37,7 @@ TINY_BOUNDS = SampleBounds(max_distance=3.0, semi_axes=(1.0, 1.5, 2.0))
 def draws():
     """1,000 default targets and their distances, plus every placement
     (the arguments and result of ``_place_radius``) and the number of
-    distance-kernel calls the placements made."""
+    ``_distance`` calls the placements made."""
     rng = np.random.default_rng(42)
     bounds = SampleBounds()
     placements = []
@@ -48,14 +48,14 @@ def draws():
         placements.append((*args, r))
         return r
 
-    def bore_bounds(*args):
+    def distance(*args):
         nonlocal calls
         calls += 1
         return kernel(*args)
 
-    place_radius, kernel = datagen._place_radius, datagen._bore_bounds
+    place_radius, kernel = datagen._place_radius, datagen._distance
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(datagen, "_bore_bounds", bore_bounds)
+        mp.setattr(datagen, "_distance", distance)
         mp.setattr(datagen, "_place_radius", place)
         targets = [sample_target(rng, GEOM, bounds) for _ in range(1000)]
     dist = np.array([target_probe_distance(t, GEOM) for t in targets])
@@ -157,6 +157,14 @@ def _sampled_shadow_distance(rot, cxy, axes, radius, n=20000):
     return max(np.hypot(pts[0], pts[1]).min() - radius, 0.0), spacing
 
 
+def _placed_distance(azimuth, axes, quat, geom, rho):
+    """``_distance`` of a target placed at center radius ``rho``, with the
+    rotation taken as the placement takes it, so that both round alike."""
+    return datagen._distance(Rotation.from_quat(quat).as_matrix(),
+                             rho * math.cos(azimuth), rho * math.sin(azimuth),
+                             axes, geom.probe_radius)
+
+
 class TestTargetSampling:
     def test_fixed_seed_identical(self):
         a = sample_target(np.random.default_rng(5), GEOM)
@@ -183,31 +191,21 @@ class TestTargetSampling:
             assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
 
     def test_placement_brackets_the_requested_distance(self, draws):
-        # by the certified distance, the returned radius reaches the
-        # requested distance and one step less does not, a step being the
-        # width 48 bisection steps leave of the initial bracket; the
-        # rotation is taken as the placement takes it, so both round alike
+        # measured by ``_distance``, the placed target sits at the requested
+        # distance to within rounding
         _, _, placements, _ = draws
         assert len(placements) == 1000
         for azimuth, want, axes, quat, geom, r in placements:
-            rot = Rotation.from_quat(quat).as_matrix()
-            step = (geom.probe_radius + want + max(axes) + 1.0) * 2.0 ** -48
-
-            def dist_at(rho):
-                return datagen._distance(rot, rho * math.cos(azimuth),
-                                         rho * math.sin(azimuth), axes,
-                                         geom.probe_radius)
-
-            assert dist_at(r) >= want
-            assert dist_at(r - step) < want
+            assert _placed_distance(azimuth, axes, quat, geom, r) == \
+                pytest.approx(want, abs=1e-13)
 
     def test_bench_stream_placements_pinned(self, bench_stream):
         # the first 60 training and 7 held-out targets the bench draws
         train, held = bench_stream
         digest = hashlib.sha256(canonical_json_bytes(
             [dataclasses.asdict(t) for t in train[:60] + held[:7]])).hexdigest()
-        assert digest == ("94324e4233fbd2adb123e4dc8176fa22"
-                          "9a304c44a9427684fcd9430bba561c16")
+        assert digest == ("70d2b2f121a9368765b9d9db7ebe1c2a"
+                          "0afb15a52f5f7466cf38979ee3119511")
 
     def test_no_bench_stream_target_reaches_into_the_bore(self, bench_stream):
         # a net point inside the bore proves an intrusion; placed against
@@ -229,10 +227,35 @@ class TestTargetSampling:
         assert np.any(np.abs(z) > 2.0)
 
     def test_placement_needs_few_kernel_calls(self, draws):
-        # 48 bisection steps plus the bracket check took 49 calls each
+        # the parallel curve gives the center radius without measuring
         _, _, placements, calls = draws
         assert len(placements) == 1000
-        assert 0 < calls / len(placements) <= 20
+        assert calls == 0
+
+    @pytest.mark.parametrize("probe, axes", [
+        ("big_probe_mesh", TINY_BOUNDS.semi_axes),
+        (None, (0.3, 1.0, 10.0)),
+    ], ids=["wide_probe", "needle"])
+    def test_placement_off_the_default_probe(self, request, probe, axes):
+        # placement realizes the distance on a wider bore and for a needle
+        # whose shadow is up to 33 times longer than wide, by ``_distance``
+        # and by the independent shadow-sampling oracle; the first draws
+        # sit at or next to contact
+        geom = GEOM if probe is None else request.getfixturevalue(probe).geometry
+        rng = np.random.default_rng(17)
+        wants = np.r_[0.0, rng.uniform(0.0, 1e-3, 9), rng.uniform(0.0, 3.0, 70)]
+        for want in wants:
+            azimuth = rng.uniform(0.0, 2.0 * math.pi)
+            quat = tuple(Rotation.random(random_state=rng).as_quat())
+            rho = datagen._place_radius(azimuth, want, axes, quat, geom)
+            assert _placed_distance(azimuth, axes, quat, geom, rho) == \
+                pytest.approx(want, abs=1e-13)
+            cxy = rho * np.array([math.cos(azimuth), math.sin(azimuth)])
+            est, spacing = _sampled_shadow_distance(
+                Rotation.from_quat(quat).as_matrix(), cxy, axes,
+                geom.probe_radius)
+            assert want <= est + 1e-10
+            assert est - want <= spacing / 2.0
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
@@ -277,34 +300,10 @@ class TestDistanceKernel:
             assert est >= d - 1e-9
             assert est - d < 0.05
 
-    def test_recorded_distances_are_certified(self, draws):
-        targets, dist, _, _ = draws
-        for t, d in zip(targets, dist):
-            lo, hi, _ = datagen._bore_bounds(
-                t.rotation_matrix(), t.center[0], t.center[1], t.semi_axes,
-                GEOM.probe_radius)
-            assert hi - lo <= 1e-10
-            assert d == hi
-
-    def test_uncertified_distance_raises(self, monkeypatch):
-        t = TargetSpec(center=(6.0, 1.0, 0.5), semi_axes=(4.0, 6.0, 9.0),
-                       quat=(0.3, -0.2, 0.1, math.sqrt(0.86)))
-        args = (0.3, 1.0, (1.0, 1.5, 2.0), IDENTITY_QUAT, GEOM)
-        assert target_probe_distance(t, GEOM) > 0.0
-        assert datagen._place_radius(*args) > 0.0
-        monkeypatch.setattr(datagen, "_NEWTON_ITERS", 1)
-        plain = r"bounds \[\d\.\d+, \d\.\d+\]$"
-        with pytest.raises(SolverError, match=plain):
-            target_probe_distance(t, GEOM)
-        # a placement that searched on uncertified distances would return
-        # 3.0252 for the certified 3.0390
-        with pytest.raises(SolverError, match=plain):
-            datagen._place_radius(*args)
-
     def test_matches_shadow_sampling_oracle(self):
         # sampling the shadow's boundary can only overestimate the distance
         # from the axis, by at most half the points' spacing; the kernel's
-        # upper bound lies within _EDGE_TOL of the true distance
+        # bisection brackets Eberly's root to adjacent doubles
         configs = _shadow_configs(512, seed=11)
         dist = []
         for rot, cxy, axes, radius, exact in configs:
