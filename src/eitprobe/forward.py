@@ -36,6 +36,17 @@ conductivity, structural zeros included.
 Voltages scale linearly with injected current and, when conductivity and
 interface conductance are scaled together, inversely with the conductivity
 scale.
+
+The Jacobian is held on the measurements' independent coordinates
+(``Jacobian``). By reciprocity twin measurements share one sensitivity
+row, and by Kirchhoff's voltage law the measurements of each cycle of a
+drive's retained pairs sum to zero, at any conductivity. So the adjacent
+schedule's 928 measurements have 464 distinct rows, which span only 374
+coordinates. The relations come from the schedule's measurement graphs
+(``_kirchhoff_relations``), the orthonormal basis of what they allow from
+one SVD per block of rows that they link (``_basis_blocks``), and
+``compute_jacobian`` projects the distinct rows onto that basis block by
+block as it computes them.
 """
 
 from __future__ import annotations
@@ -47,9 +58,11 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import null_space
 from scipy.linalg.blas import dtrmm, dtrsm
 from scipy.linalg.lapack import dpbtrf
-from scipy.sparse import csc_matrix
+from scipy.sparse import coo_matrix, csc_matrix, csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import DimensionError, SingularSystemError, SolverError
 from .ioutil import hash_of
@@ -377,25 +390,43 @@ def solve_forward(system: SparseSystem, pattern: StimPattern,
 
 @dataclass(eq=False)
 class Jacobian:
-    """Sensitivity of every retained measurement to each element's
-    conductivity, evaluated at the linearization field.
+    """Sensitivity of the retained measurements to each element's
+    conductivity, evaluated at the linearization field, on a basis of the
+    measurements' independent coordinates.
 
     By reciprocity, drive pair d measured on pair p has the same
     sensitivity row as drive p measured on d: both are the element-wise
-    product of the two pairs' unit-current field gradients. Each such row
-    is held once. ``matrix[row_index]`` is the full Jacobian, one row per
-    measurement in schedule order; ``counts[i]`` is how many measurements
-    use distinct row i (2 for a reciprocal twin, 1 for a row whose twin the
-    schedule does not retain)."""
+    product of the two pairs' unit-current field gradients. So the full
+    Jacobian is J = P Jd for the distinct rows Jd, numbered by
+    ``row_index`` (one entry per measurement in schedule order), and the
+    expansion P with P'P = C = diag(``counts``) (2 for a reciprocal twin, 1
+    for a row whose twin the schedule does not retain). By Kirchhoff's
+    voltage law, C^1/2 Jd also satisfies every relation of
+    ``_kirchhoff_relations`` weighted by C^-1/2, so it lies in the span of
+    ``basis``, the orthonormal N of ``_basis_blocks``. ``matrix`` holds
+    B = N' C^1/2 Jd, one row per independent coordinate: 374 rows for the
+    adjacent schedule's 464 distinct rows and 928 measurements. It is not
+    J: the distinct rows are N B / sqrt(counts), and J is those rows
+    expanded by ``row_index``. The columns of P C^-1/2 N are orthonormal,
+    so J'J = B'B, and J'dv = B' d for the coordinates d of dv
+    (``coordinates``)."""
 
-    matrix: np.ndarray       # (n_distinct, n_elements)
-    row_index: np.ndarray    # (n_measurements,) int rows of ``matrix``
+    matrix: np.ndarray       # (n_basis, n_elements) B
+    basis: np.ndarray        # (n_distinct, n_basis) N, orthonormal columns
+    row_index: np.ndarray    # (n_measurements,) int distinct rows
     mesh_id: str
     schedule_id: str
 
     @cached_property
     def counts(self) -> np.ndarray:
-        return np.bincount(self.row_index, minlength=self.matrix.shape[0])
+        return np.bincount(self.row_index, minlength=self.basis.shape[0])
+
+    @property
+    def coordinates(self) -> np.ndarray:
+        """N' C^-1/2, (n_basis, n_distinct): maps a voltage difference
+        folded onto the distinct rows (``_fold_twins``) to its coordinates
+        on the rows of ``matrix``."""
+        return self.basis.T / np.sqrt(self.counts)
 
 
 def _fold_twins(row_index: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -419,41 +450,129 @@ def _reciprocal_rows(schedule: MeasurementSchedule,
     return first[order], number[inverse]
 
 
-def compute_jacobian(mesh: Mesh, sigma: np.ndarray,
-                     pattern: StimPattern, schedule: MeasurementSchedule,
-                     ) -> Jacobian:
-    """Adjoint-method Jacobian: one solve per pattern, combined per element.
+def _kirchhoff_relations(schedule: MeasurementSchedule,
+                         row_index: np.ndarray) -> np.ndarray:
+    """Kirchhoff's voltage law on the distinct rows: one relation per row,
+    (n_relations, n_distinct), each of unit norm.
 
-    Because the injection and measurement pairs coincide, the 32 unit-current
-    solutions serve both roles and every row follows from element-wise
-    products of their gradients. Only the first use of each reciprocal row
-    is computed: 464 rows for the adjacent schedule's 928 measurements.
-    Products commute exactly, so ``matrix[row_index]`` is the same to the
-    bit as the matrix computed one row per measurement.
-    """
+    A drive's retained measurements are differences of electrode
+    potentials, so a vector y with y'A = 0, for the incidence matrix A of
+    the retained pairs (+1 at a pair's plus electrode, -1 at its minus),
+    sums them to zero at any conductivity. Those y span the cycles of the
+    drive's measurement graph, whose edges are the retained pairs; they are
+    taken one connected part of the graph at a time, so that each relation
+    stays on one cycle set (on the adjacent schedule, one whole ring the
+    drive does not touch). Each is then folded onto the distinct rows."""
+    n_el, n_ret = schedule.electrode_layer.size, schedule.n_retained
+    n_rows = row_index.max(initial=-1) + 1
+    relations = []
+    for d, ret in enumerate(schedule.retained):
+        plus, minus = schedule.pairs[ret].T
+        graph = coo_matrix((np.ones(n_ret), (plus, minus)), shape=(n_el, n_el))
+        part = connected_components(graph, directed=False)[1][plus]
+        rows = row_index[d * n_ret:(d + 1) * n_ret]
+        for p in np.unique(part):
+            edges = np.flatnonzero(part == p)
+            inc = np.zeros((edges.size, n_el))
+            inc[np.arange(edges.size), plus[edges]] = 1.0
+            inc[np.arange(edges.size), minus[edges]] = -1.0
+            for y in null_space(inc.T).T:
+                rel = np.zeros(n_rows)
+                rel[rows[edges]] = y    # a drive's rows are all distinct
+                relations.append(rel)
+    return np.reshape(relations, (len(relations), n_rows))
+
+
+def _basis_blocks(schedule: MeasurementSchedule, row_index: np.ndarray,
+                  ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The orthonormal basis N of the distinct-row vectors that satisfy
+    every Kirchhoff relation weighted by C^-1/2, block by block. Two rows
+    belong to one block when a chain of relations links them; each block
+    is its rows S, ascending, and N_S, an orthonormal basis of the null
+    space of the block's weighted relations, by one SVD. Blocks come in
+    order of their first row, and a row that no relation touches is a
+    block of its own with N_S = [[1]]. On the adjacent schedule there are
+    86 blocks: 80 same-ring rows, and six cross-ring blocks of 64 rows, 49
+    of whose dimensions survive (each block's 16 relations have rank 15).
+    A schedule with no cycle has N = I."""
+    weighted = (_kirchhoff_relations(schedule, row_index)
+                / np.sqrt(np.bincount(row_index)))
+    link = csr_matrix(weighted != 0)
+    _, block = connected_components(link.T @ link, directed=False)
+    _, starts = np.unique(block, return_index=True)
+    blocks = []
+    for start in np.sort(starts):
+        rows = np.flatnonzero(block == block[start])
+        touching = weighted[:, rows]
+        touching = touching[touching.any(axis=1)]
+        blocks.append((rows, null_space(touching) if touching.size
+                       else np.eye(rows.size)))
+    return blocks
+
+
+def _unit_gradients(mesh: Mesh, sigma: np.ndarray,
+                    schedule: MeasurementSchedule) -> np.ndarray:
+    """(P, 3, M): the field gradient of each drive pair's unit-current
+    solution in each element. Each gradient component of each solution is
+    one contiguous row, so products of them run over unit-stride rows."""
     system = assemble_system(mesh, sigma)
     sols = solve_injections(system, schedule, 1.0)
     w = sols[:mesh.n_nodes, :][mesh.tets, :]                 # (M, 4, P)
     ge = np.einsum("mfp,mfk->mpk", w, mesh.shape_gradients)  # (M, P, 3)
-    # (P, 3, M): each gradient component of each solution is one
-    # contiguous row, so the products below run over unit-stride rows
-    g = np.ascontiguousarray(ge.transpose(1, 2, 0))
-    del w, ge
-    first, row_index = _reciprocal_rows(schedule)
-    # first uses are numbered in schedule order, so each injection's new
-    # rows are one contiguous block of the output
-    drive, meas = (a[first] for a in schedule.pair_index)
-    bounds = np.searchsorted(drive, np.arange(schedule.n_injections + 1))
-    out = np.empty((first.size, mesh.n_elements))
-    for d in range(schedule.n_injections):
-        ret = meas[bounds[d]:bounds[d + 1]]
-        block = out[bounds[d]:bounds[d + 1]]
+    return np.ascontiguousarray(ge.transpose(1, 2, 0))
+
+
+def _distinct_rows(g: np.ndarray, drive: np.ndarray, meas: np.ndarray,
+                   weight: np.ndarray) -> np.ndarray:
+    """The distinct Jacobian rows of drive pairs ``drive`` measured on
+    pairs ``meas``: the element-wise dot product of the two pairs'
+    gradients in ``g``, times ``weight`` per element. Each run of rows
+    with one drive is computed as one block."""
+    out = np.empty((drive.size, g.shape[2]))
+    edges = [0, *(np.flatnonzero(np.diff(drive)) + 1), drive.size]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        d, ret, block = drive[lo], meas[lo:hi], out[lo:hi]
         np.multiply(g[ret, 0], g[d, 0], out=block)
         block += g[ret, 1] * g[d, 1]
         block += g[ret, 2] * g[d, 2]
-    out *= -pattern.amplitude * mesh.volumes[None, :]
-    return Jacobian(matrix=out, row_index=row_index, mesh_id=mesh.mesh_id,
-                    schedule_id=schedule.schedule_id)
+    out *= weight[None, :]
+    return out
+
+
+def compute_jacobian(mesh: Mesh, sigma: np.ndarray,
+                     pattern: StimPattern, schedule: MeasurementSchedule,
+                     ) -> Jacobian:
+    """Adjoint-method Jacobian on the independent coordinates: one solve
+    per pattern, combined per element.
+
+    Because the injection and measurement pairs coincide, the 32
+    unit-current solutions serve both roles and every row follows from
+    element-wise products of their gradients. Only the first use of each
+    reciprocal row is computed, and the rows are computed one basis block
+    at a time and projected as they go: B_S = (C_S^1/2 N_S)' Jd[S]. So the
+    distinct rows, 464 for the adjacent schedule, are never held at once
+    beside the 374 of B; there a block holds at most 64 of them. Products
+    commute exactly, so ``_distinct_rows`` gives the same bits as the
+    matrix computed one row per measurement.
+    """
+    g = _unit_gradients(mesh, sigma, schedule)
+    first, row_index = _reciprocal_rows(schedule)
+    drive, meas = (a[first] for a in schedule.pair_index)
+    weight = -pattern.amplitude * mesh.volumes
+    root = np.sqrt(np.bincount(row_index))
+    blocks = _basis_blocks(schedule, row_index)
+    basis = np.zeros((first.size, sum(n.shape[1] for _, n in blocks)))
+    out = np.empty((basis.shape[1], mesh.n_elements))
+    k = 0
+    for rows, n in blocks:
+        cols = slice(k, k + n.shape[1])
+        basis[rows, cols] = n
+        np.matmul((root[rows, None] * n).T,
+                  _distinct_rows(g, drive[rows], meas[rows], weight),
+                  out=out[cols])
+        k = cols.stop
+    return Jacobian(matrix=out, basis=basis, row_index=row_index,
+                    mesh_id=mesh.mesh_id, schedule_id=schedule.schedule_id)
 
 
 # --- frame persistence -------------------------------------------------------

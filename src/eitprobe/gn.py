@@ -19,20 +19,26 @@ narrow band at hand, while the forward solver factors each CEM system,
 banded by the mesh's layer order, with LAPACK's band Cholesky
 (``forward.SparseSystem``).
 
-Reciprocal twins share a Jacobian row (see ``forward.Jacobian``): U = Ud P'
-with P the measurement-to-row expansion and P'P = C = diag(counts), so
+The Jacobian is held on its independent rows B = N' C^1/2 Jd (see
+``forward.Jacobian``): J = E B for E = P C^-1/2 N, with Jd the distinct
+rows, P the measurement-to-row expansion, C = P'P = diag(counts) and N the
+orthonormal basis of what Kirchhoff's law allows. E has orthonormal
+columns, so J'J = B'B and J'dv = B' N' C^-1/2 P'dv, and
 
-    (U U' + S)^-1 U = S^-1 Ud (K + C^-1)^-1 C^-1 P',  K = Ud' S^-1 Ud
+    (J'J + S)^-1 J' = S^-1 B' (I + B S^-1 B')^-1 N' C^-1/2 P'
 
-where P' folds the measurements, summing twins onto their row. So R and
-the dense block are sized by the distinct rows, 464 for the adjacent
-schedule's 928 measurements, each one sparse solve. The solves are streamed
-in narrow column blocks, so the build holds the Jacobian, the prior's
-factor, the rows-by-rows block, the nodes-by-rows Z (R in the end) and,
-per block in flight, about three elements-by-block arrays: the right-hand
-side, the solution and SuperLU's work array. Narrow blocks cost no time:
-the prior factor has nearly one supernode per column, so a solve costs the
-same per right-hand side at any width.
+where P' folds the measurements, summing twins onto their distinct row.
+So the dense block is sized by the independent rows, 374 for the adjacent
+schedule's 928 measurements, with identity data weights, and each of its
+rows is one sparse solve. The build ends by mapping R through N' C^-1/2,
+after the prior's factor is released, so R keeps one column per distinct
+row (464) and applies to the folded voltages. The solves are streamed in
+column blocks, so the build holds B, the prior's factor, the 374-by-374
+block, the nodes-by-374 Z and, per block in flight, about three
+elements-by-block arrays: the right-hand side, the solution and SuperLU's
+work array; R, nodes by 464, is formed after the factor is gone. A
+solve's cost per column falls with the block width up to 16 and no
+further (``_BLOCK_COLUMNS``).
 
 The blocks do not depend on one another, and SuperLU's solve and BLAS both
 release the GIL, so a pool of at most two threads runs them concurrently.
@@ -69,10 +75,11 @@ DEFAULT_LAMBDA = 0.03
 _PRIOR_RIDGE = 1e-8
 # Jacobian rows per solve block of the matrix build. The working set is
 # ``_WORKERS`` x width x three element-length arrays (3.6 MB each on the
-# desk mesh at 16), and peak memory grows with it (the desk build alone
-# peaks at 344 MB with 32 columns in flight, 417 MB with 128); a solve's
-# cost per column is flat in the width. So two workers of 16 hold the 32
-# columns one worker held, and more would need narrower blocks
+# desk mesh at 16), and peak memory grows with it. A solve's cost per
+# column falls up to 16 and no further: on the desk prior factor with one
+# BLAS thread, three timings of SuperLU's solve read 11-14 ms per column at
+# width 1, 6-8 at 4, 5-7 at 8, 4.5-5.3 at 16, 4.4-4.8 at 32 and 5-6 at 64.
+# So two workers of 16 hold 32 columns at about the fastest width
 _BLOCK_COLUMNS = 16
 
 
@@ -135,17 +142,19 @@ def build_reconstruction_matrix(jac: Jacobian, mesh: Mesh,
 
 def _build(jac: Jacobian, mesh: Mesh, cfg: GnConfig,
            avg: csr_matrix) -> ReconstructionMatrix:
-    """R = avg V^-1 W (U' W + C^-1)^-1 C^-1 / scale on the distinct rows,
-    with U = (J V^-1 / scale)', W = S^-1 U, V = diag(volumes) and
-    C = diag(counts). U and W are formed one column block at a time."""
+    """R = avg V^-1 W (I + U' W)^-1 N' C^-1/2 / scale on the distinct rows,
+    with U = (B V^-1 / scale)', W = S^-1 U, V = diag(volumes), B the
+    Jacobian's independent rows and N' C^-1/2 their ``coordinates``. U and
+    W are formed one column block at a time."""
     if jac.mesh_id != mesh.mesh_id:
         raise ProvenanceError("Jacobian was computed on a different mesh")
     jmat = jac.matrix
     n_rows, n_meas = jmat.shape[0], jac.row_index.size
     vols = mesh.volumes
     # sensitivity entries grow with element volume; dividing the columns by
-    # volume puts coarse far elements and fine near elements on one scale
-    sq = jac.counts @ np.einsum("ij,ij,j->i", jmat, jmat, vols ** -2.0)
+    # volume puts coarse far elements and fine near elements on one scale.
+    # B'B = J'J, so this is the mean square of J's rows per measurement
+    sq = np.einsum("ij,ij,j->", jmat, jmat, vols ** -2.0)
     scale = math.sqrt(sq / n_meas)
     if not 0 < scale < math.inf:
         raise IllConditionedError(
@@ -175,16 +184,16 @@ def _build(jac: Jacobian, mesh: Mesh, cfg: GnConfig,
     # strict lower triangle makes g exactly symmetric
     low = np.tril(k, -1)
     g = low + low.T
-    g.flat[::n_rows + 1] = k.diagonal() + 1.0 / jac.counts
+    g.flat[::n_rows + 1] = k.diagonal() + 1.0
+    # the back map holds R beside Z: the prior's factor and k go first
+    del s, k, low
     try:
         # g.T is g, Fortran-ordered: the factorization overwrites it in place
         cho = cho_factor(g.T, lower=True, overwrite_a=True)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(
             f"regularized normal matrix is not positive definite: {exc}") from exc
-    # z.T is Fortran-ordered, so the solve overwrites it in place
-    r = cho_solve(cho, z.T, overwrite_b=True).T
-    r /= jac.counts
+    r = z @ cho_solve(cho, jac.coordinates)
     if not np.all(np.isfinite(r)):
         raise IllConditionedError("reconstruction matrix has non-finite entries")
     return ReconstructionMatrix(matrix=r, row_index=jac.row_index,

@@ -13,18 +13,24 @@ are normalized by the root-mean-square row norm of J, so alpha is
 calibrated against unit-scale operators; J is normalized implicitly, by
 dividing its products, so no scaled copy of it is held.
 
-J is held as its distinct reciprocal rows Jd, with J = Jd[row_index] (see
-``forward.Jacobian``). A product J v is Jd v expanded by ``row_index``;
-J' r is Jd' applied to r summed over twins (``forward._fold_twins``, the
-fold GN also applies); and the CG operator is Jd' (c * Jd v) / scale^2 +
-alpha L'DL v, with c the number of measurements per row. So every dense
-product runs over the 464 distinct rows, not the 928 measurements. The
-residual, the objective and the data keep one entry per measurement,
-because twin measurements carry different noise.
+J is held on its independent rows B = N' C^1/2 Jd (see
+``forward.Jacobian``): J = E B, where E = P C^-1/2 N has orthonormal
+columns, Jd are the distinct reciprocal rows, P expands them to the
+measurements and C = P'P. So
 
-The CG operator's data term, Jd' (c * Jd v), takes nearly all of a
-solve's time, and it is the only work that runs on two threads. It is two
-passes over Jd: Jd v by row chunks, then Jd' w by column chunks. The
+    ||J x - dv||^2 = ||B x - d||^2 + ||dv||^2 - ||d||^2,  d = N' C^-1/2 P'dv
+
+where P'dv sums the twins of dv onto their distinct row
+(``forward._fold_twins``, the fold GN also applies). Each frame is folded
+to its coordinates d once; the residual, the gradient B'r and the CG
+operator B'B v / scale^2 + alpha L'DL v then run over the 374 rows of B,
+not the 464 distinct rows nor the 928 measurements, and the objective adds
+the constant (||dv||^2 - ||d||^2) / 2. So its values, the stop rule and
+the traces are those of the loop on one row per measurement, to rounding.
+
+The CG operator's data term, B'(B v), takes nearly all of a solve's
+time, and it is the only work that runs on two threads. It is two passes
+over B: B v by row chunks, then B'w by column chunks. The
 chunks are fixed by the matrix's shape alone, so each output entry comes
 from the same operations whichever thread computes its chunk, and the
 images and traces are bitwise the same with the pool or without it (on one
@@ -185,44 +191,47 @@ def _shared(pool: futures.ThreadPoolExecutor | None, fn,
 def _solve(jac: Jacobian, scale: float, lop: csr_matrix, data: np.ndarray,
            cfg: PdipmConfig, pool: futures.ThreadPoolExecutor | None,
            ) -> tuple[np.ndarray, ConvergenceTrace]:
-    """Interior-point iteration on one normalized frame; the normalized
-    Jacobian J / scale is never formed, nor is J expanded to one row per
+    """Interior-point iteration on one normalized frame, on the
+    coordinates of the Jacobian's independent rows; the normalized Jacobian
+    J / scale is never formed, nor is J expanded to one row per
     measurement. ``pool``, one thread or none, shares the CG operator's
     data term."""
-    jmat, index = jac.matrix, jac.row_index
-    counts = jac.counts
+    jmat = jac.matrix
     row_chunks, col_chunks = _chunks(jmat.shape[0]), _chunks(jmat.shape[1])
     alpha = cfg.alpha
     scale2 = scale * scale
+    coords = jac.coordinates @ _fold_twins(jac.row_index, data)
+    # the part of the data off the Jacobian's range does not depend on x
+    offset = 0.5 * (data @ data - coords @ coords)
 
-    back = (jmat.T @ _fold_twins(index, data)) / scale
-    fit = (jmat @ back)[index] / scale
+    back = (jmat.T @ coords) / scale
+    fit = (jmat @ back) / scale
     den = fit @ fit
-    c = (data @ fit) / den if den > 0 else 0.0
+    c = (coords @ fit) / den if den > 0 else 0.0
     beta = float(np.clip(1e-4 * np.abs(back * c).max(), 1e-12, 1e-2))
 
     x, y = np.zeros(jmat.shape[1]), np.zeros(lop.shape[0])
-    resid = -data
+    resid = -coords
     trace = ConvergenceTrace()
 
     def objective(r, lx):
-        return 0.5 * (r @ r) + alpha * np.sqrt(lx * lx + beta * beta).sum()
+        return (0.5 * (r @ r) + offset
+                + alpha * np.sqrt(lx * lx + beta * beta).sum())
 
     for it in range(1, cfg.max_iters + 1):
         t = lop @ x
         phi = np.sqrt(t * t + beta * beta)
         f_cur = objective(resid, t)
-        grad = ((jmat.T @ _fold_twins(index, resid)) / scale
-                + alpha * (lop.T @ (t / phi)))
+        grad = (jmat.T @ resid) / scale + alpha * (lop.T @ (t / phi))
         dual_w = (1.0 - y * t / phi) / phi
 
         def apply_op(v):
-            w = counts * _shared(pool, lambda r: jmat[r] @ v, row_chunks)
+            w = _shared(pool, lambda r: jmat[r] @ v, row_chunks)
             return (_shared(pool, lambda c: jmat[:, c].T @ w, col_chunks)
                     / scale2 + alpha * (lop.T @ (dual_w * (lop @ v))))
 
         dx, (cg_iters, cg_resid) = _cg(apply_op, -grad)
-        q, ld, gdot = (jmat @ dx)[index] / scale, lop @ dx, grad @ dx
+        q, ld, gdot = (jmat @ dx) / scale, lop @ dx, grad @ dx
 
         s = 1.0
         for shrinks in range(_MAX_SHRINKS + 1):
@@ -266,6 +275,8 @@ def reconstruct_pdipm_batch(jac: Jacobian, tv: TvOperator, dv: np.ndarray,
     if tv.mesh_id != jac.mesh_id:
         raise ProvenanceError("TV operator and Jacobian come from different meshes")
     dv = np.asarray(dv, dtype=np.float64)
+    if dv.ndim not in (1, 2):
+        raise DimensionError(f"dv must be a vector or a matrix, not {dv.ndim}-d")
     dv = dv[:, None] if dv.ndim == 1 else dv
     jmat = jac.matrix
     if dv.shape[0] != jac.row_index.size:
@@ -275,8 +286,8 @@ def reconstruct_pdipm_batch(jac: Jacobian, tv: TvOperator, dv: np.ndarray,
     if not np.all(np.isfinite(dv)):
         raise ValueError("dv must be finite everywhere")
 
-    row_sq = np.einsum("ij,ij->i", jmat, jmat)
-    scale = math.sqrt(jac.counts @ row_sq / jac.row_index.size)
+    # B'B = J'J: the root-mean-square row norm of J, one row per measurement
+    scale = math.sqrt(np.einsum("ij,ij->", jmat, jmat) / jac.row_index.size)
     if not 0 < scale < math.inf:
         raise IllConditionedError(
             f"Jacobian norm is {scale}: the matrix is zero or not finite")

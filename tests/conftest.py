@@ -18,6 +18,13 @@ from eitprobe.mesh import Mesh, RefinementSpec, TankGeometry, build_mesh
 
 SIGMA_REF = 0.15
 
+
+def full_jacobian(jac):
+    """J, one row per measurement in schedule order, from the Jacobian's
+    independent rows B: the distinct rows are N B / sqrt(counts)."""
+    distinct = jac.basis @ jac.matrix / np.sqrt(jac.counts)[:, None]
+    return distinct[jac.row_index]
+
 TINY_DENSITY = RefinementSpec(near=1.2, far=12.0, growth=2.2)
 
 

@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from conftest import full_jacobian
 from scipy.sparse.linalg import splu
 
-from eitprobe import gn
+from eitprobe import forward, gn
 from eitprobe.datagen import TargetSpec, rasterize_target
 from eitprobe.errors import (DimensionError, IllConditionedError,
                              SingularSystemError)
@@ -429,7 +430,7 @@ def test_jacobian_matches_finite_differences(tiny_mesh, tiny_schedule):
         vp = solve_forward(assemble_system(tiny_mesh, sp), pat, tiny_schedule).values
         vm = solve_forward(assemble_system(tiny_mesh, sm), pat, tiny_schedule).values
         fd = (vp - vm) / (2.0 * delta)
-        col = jac.matrix[jac.row_index, e]
+        col = full_jacobian(jac)[:, e]
         err = np.abs(fd - col)
         ok = (err <= 1e-3 * np.abs(col)) | (err <= 1e-12)
         assert ok.all(), f"element {e}: worst abs {err.max():.3e}"
@@ -449,11 +450,22 @@ def _einsum_jacobian(mesh, schedule):
     return expect
 
 
+def _distinct_rows(mesh, schedule):
+    """The distinct rows Jd, in order of first use, by the kernel that
+    ``compute_jacobian`` runs on each basis block."""
+    g = forward._unit_gradients(mesh, homogeneous_field(mesh, SIGMA_REF),
+                                schedule)
+    first, _ = forward._reciprocal_rows(schedule)
+    drive, meas = (a[first] for a in schedule.pair_index)
+    return forward._distinct_rows(g, drive, meas,
+                                  -StimPattern().amplitude * mesh.volumes)
+
+
 def test_jacobian_matches_the_einsum_products(tiny_mesh, tiny_schedule,
                                               tiny_jacobian):
     expect = _einsum_jacobian(tiny_mesh, tiny_schedule)
-    assert np.array_equal(tiny_jacobian.matrix[tiny_jacobian.row_index],
-                          expect)
+    got = _distinct_rows(tiny_mesh, tiny_schedule)
+    assert np.array_equal(got[tiny_jacobian.row_index], expect)
 
 
 def _assert_reciprocal_pairing(schedule, jac):
@@ -464,12 +476,12 @@ def _assert_reciprocal_pairing(schedule, jac):
     for k, (d, a, b) in enumerate(schedule.rows.tolist()):
         key = frozenset((d, pair_id[(a, b)]))
         assert row_of.setdefault(key, jac.row_index[k]) == jac.row_index[k]
-    assert sorted(row_of.values()) == list(range(jac.matrix.shape[0]))
+    assert sorted(row_of.values()) == list(range(jac.basis.shape[0]))
     assert np.array_equal(jac.counts, np.bincount(jac.row_index))
 
 
 def test_jacobian_holds_each_reciprocal_row_once(tiny_schedule, tiny_jacobian):
-    assert tiny_jacobian.matrix.shape[0] == 464
+    assert tiny_jacobian.basis.shape[0] == 464
     assert np.all(tiny_jacobian.counts == 2)
     _assert_reciprocal_pairing(tiny_schedule, tiny_jacobian)
     rows, pairs = tiny_schedule.rows, tiny_schedule.pairs
@@ -487,15 +499,70 @@ def test_jacobian_of_a_schedule_with_unpaired_rows(tiny_mesh, lopsided_schedule,
     assert counts.sum() == lopsided_schedule.n_measurements == 896
     _assert_reciprocal_pairing(lopsided_schedule, lopsided_jacobian)
     expect = _einsum_jacobian(tiny_mesh, lopsided_schedule)
-    assert np.array_equal(
-        lopsided_jacobian.matrix[lopsided_jacobian.row_index], expect)
+    got = _distinct_rows(tiny_mesh, lopsided_schedule)
+    assert np.array_equal(got[lopsided_jacobian.row_index], expect)
+
+
+_SCHEDULES = pytest.mark.parametrize(
+    "fixtures", [("tiny_schedule", "tiny_jacobian"),
+                 ("lopsided_schedule", "lopsided_jacobian")],
+    ids=["adjacent", "lopsided"])
+
+
+@_SCHEDULES
+def test_kirchhoff_relations_annihilate_the_distinct_rows(fixtures, tiny_mesh,
+                                                          request):
+    schedule, jac = (request.getfixturevalue(name) for name in fixtures)
+    rel = forward._kirchhoff_relations(schedule, jac.row_index)
+    jd = _distinct_rows(tiny_mesh, schedule)
+    assert rel.shape[0] > 0
+    assert np.abs(rel @ jd).max() <= 1e-13 * np.abs(jd).max()
+
+
+def test_adjacent_relations_leave_374_independent_rows(tiny_mesh,
+                                                       tiny_schedule,
+                                                       tiny_jacobian):
+    # per drive, one relation on each of the three whole rings it does not
+    # touch; each cross-ring block of 64 rows has 16 relations of rank 15
+    rel = forward._kirchhoff_relations(tiny_schedule, tiny_jacobian.row_index)
+    assert rel.shape == (96, 464)
+    assert np.linalg.matrix_rank(rel) == 90
+    assert tiny_jacobian.matrix.shape == (374, tiny_mesh.n_elements)
+    # the relations are all the rank J loses: an SVD of Jd agrees
+    jd = _distinct_rows(tiny_mesh, tiny_schedule)
+    assert np.linalg.matrix_rank(jd) == 374
+    # a relation stays on one ring, so the basis splits into the 80
+    # same-ring rows no relation touches and one block per pair of rings
+    blocks = forward._basis_blocks(tiny_schedule, tiny_jacobian.row_index)
+    shapes = sorted(n.shape for _, n in blocks)
+    assert shapes == [(1, 1)] * 80 + [(64, 49)] * 6
+
+
+@_SCHEDULES
+def test_basis_is_orthonormal_and_reproduces_the_distinct_rows(
+        fixtures, tiny_mesh, request):
+    schedule, jac = (request.getfixturevalue(name) for name in fixtures)
+    n, root = jac.basis, np.sqrt(jac.counts)
+    assert np.abs(n.T @ n - np.eye(n.shape[1])).max() <= 1e-13
+    # N spans every weighted vector the relations allow, and no other
+    rel = forward._kirchhoff_relations(schedule, jac.row_index) / root
+    assert n.shape[1] == n.shape[0] - np.linalg.matrix_rank(rel)
+    assert np.abs(rel @ n).max() <= 1e-13
+    jd = _distinct_rows(tiny_mesh, schedule)
+    back = n @ jac.matrix / root[:, None]
+    assert np.abs(back - jd).max() <= 1e-13 * np.abs(jd).max()
 
 
 def test_jacobian_memory_stays_below_the_full_matrix(tiny_mesh, tiny_schedule,
                                                      tiny_jacobian):
     # one row per measurement would take 46 MB on the tiny mesh; the caches
-    # of the mesh are warm from the fixture, so only the call is counted
-    full = tiny_jacobian.row_index.size * tiny_jacobian.matrix[0].nbytes
+    # of the mesh are warm from the fixture, so only the call is counted.
+    # The distinct rows are projected block by block, so the call holds
+    # less than its output and all 464 distinct rows (42 MB) beside it
+    row = tiny_jacobian.matrix[0].nbytes
+    full = tiny_jacobian.row_index.size * row
+    output = tiny_jacobian.matrix.nbytes + tiny_jacobian.basis.nbytes
+    distinct = tiny_jacobian.basis.shape[0] * row
     sigma = homogeneous_field(tiny_mesh, SIGMA_REF)
     tracemalloc.start()
     try:
@@ -504,6 +571,7 @@ def test_jacobian_memory_stays_below_the_full_matrix(tiny_mesh, tiny_schedule,
     finally:
         tracemalloc.stop()
     assert peak < full
+    assert peak < output + distinct
 
 
 def test_jacobian_deterministic(tiny_mesh, tiny_schedule):
@@ -516,7 +584,7 @@ def test_jacobian_deterministic(tiny_mesh, tiny_schedule):
 def test_jacobian_sensitivity_decays_with_distance(tiny_mesh, tiny_schedule):
     sigma = homogeneous_field(tiny_mesh, SIGMA_REF)
     jac = compute_jacobian(tiny_mesh, sigma, StimPattern(), tiny_schedule)
-    colnorm = np.linalg.norm(jac.matrix[jac.row_index], axis=0)
+    colnorm = np.linalg.norm(full_jacobian(jac), axis=0)
     rho = np.hypot(tiny_mesh.centroids[:, 0], tiny_mesh.centroids[:, 1])
     z = tiny_mesh.centroids[:, 2]
     near = np.argmin((rho - 1.0) ** 2 + z ** 2)

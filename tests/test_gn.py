@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import full_jacobian
 from scipy.sparse import identity as speye
 from scipy.sparse.linalg import splu
 
@@ -24,7 +25,7 @@ def _normal_equation_residual(jac, mesh, rmat):
     # the matrix must satisfy (Js'Js + lam^2 s^2 P) (V R) = Js' for the
     # volume-scaled Jacobian Js = J / vol; checked without forming inverses
     vols = mesh.volumes
-    js = jac.matrix[jac.row_index] / vols[None, :]
+    js = full_jacobian(jac) / vols[None, :]
     s2 = np.linalg.norm(js) ** 2 / js.shape[0]
     prior = smoothness_prior(mesh)
     m = rmat.matrix[:, jac.row_index] * vols[:, None]
@@ -47,7 +48,7 @@ def test_single_element_localization(tiny_jacobian, tiny_mesh, elem_rmat):
     c = tiny_mesh.centroids
     e_star = int(np.argmin((np.hypot(c[:, 0], c[:, 1]) - 1.3) ** 2
                            + c[:, 2] ** 2))
-    dv = tiny_jacobian.matrix[tiny_jacobian.row_index, e_star] * 0.15
+    dv = full_jacobian(tiny_jacobian)[:, e_star] * 0.15
     image = elem_rmat.matrix[:, tiny_jacobian.row_index] @ dv
     top = int(np.argmax(np.abs(image)))
     shared = set(tiny_mesh.tets[top]) & set(tiny_mesh.tets[e_star])
@@ -70,7 +71,7 @@ def _full_row_push_through(jac, mesh, lam):
     """The nodal matrix from one Jacobian row per measurement, by the
     push-through identity in one piece: W = S^-1 U, R = avg W (I + U'W)^-1,
     with U = (J V^-1 / scale)' and the volume division folded into W."""
-    jfull = jac.matrix[jac.row_index]
+    jfull = full_jacobian(jac)
     vols = mesh.volumes
     scale = np.linalg.norm(jfull / vols) / math.sqrt(jfull.shape[0])
     unscale = vols * scale
@@ -82,7 +83,7 @@ def _full_row_push_through(jac, mesh, lam):
 
 def _assert_matches_the_full_row_push_through(jac, mesh, rmat):
     expect = _full_row_push_through(jac, mesh, rmat.config.lam)
-    assert rmat.matrix.shape == (mesh.n_nodes, jac.matrix.shape[0])
+    assert rmat.matrix.shape == (mesh.n_nodes, jac.counts.size)
     assert expect.shape == (mesh.n_nodes, jac.row_index.size)
     got = rmat.matrix[:, jac.row_index]
     assert np.abs(got - expect).max() <= 1e-5 * np.abs(expect).max()
@@ -102,8 +103,8 @@ def test_unpaired_rows_match_the_full_row_push_through(lopsided_jacobian,
                                               rmat)
 
 
-def test_build_solves_once_per_distinct_row(tiny_jacobian, tiny_mesh,
-                                            monkeypatch):
+def test_build_solves_once_per_independent_row(tiny_jacobian, tiny_mesh,
+                                               monkeypatch):
     columns = []
 
     class CountingFactor:
@@ -118,15 +119,15 @@ def test_build_solves_once_per_distinct_row(tiny_jacobian, tiny_mesh,
     monkeypatch.setattr(gn, "_factor_spd",
                         lambda m, err: CountingFactor(factor_spd(m, err)))
     build_reconstruction_matrix(tiny_jacobian, tiny_mesh, GnConfig())
-    assert sum(columns) == 464
+    assert sum(columns) == tiny_jacobian.matrix.shape[0] == 374
 
 
 def test_build_memory_stays_near_the_jacobian(tiny_jacobian, tiny_mesh):
     # the build must not hold whole element-by-measurement copies of the
     # Jacobian; caches of the mesh are warmed so only the build is counted.
     # The bound is against one row per measurement (46 MB on the tiny mesh);
-    # the build reads 0.23 of it with two 16-column blocks in flight (every
-    # thread's allocations are traced), 0.56 with one 128-column block
+    # the build reads 0.26 of it with two 16-column blocks in flight (every
+    # thread's allocations are traced), 0.72 with two 128-column blocks
     full = tiny_jacobian.row_index.size * tiny_jacobian.matrix[0].nbytes
     smoothness_prior(tiny_mesh)
     tracemalloc.start()
@@ -142,9 +143,9 @@ def test_build_memory_stays_near_the_jacobian(tiny_jacobian, tiny_mesh):
 def test_matrix_does_not_depend_on_the_block_width(tiny_jacobian, tiny_mesh,
                                                    tiny_rmat, width,
                                                    monkeypatch):
-    # 7 leaves an uneven last block (464 = 66 * 7 + 2), which the default
-    # 16 does not (464 = 29 * 16), and 464 is one block; only the widths of
-    # the dense products change, so only rounding moves
+    # 7 leaves a last block of 3 (374 = 53 * 7 + 3), the default 16 one of
+    # 6 (374 = 23 * 16 + 6), and 464 is one block of all 374 rows; only the
+    # widths of the dense products change, so only rounding moves
     monkeypatch.setattr(gn, "_BLOCK_COLUMNS", width)
     rm = build_reconstruction_matrix(tiny_jacobian, tiny_mesh, GnConfig())
     ref = tiny_rmat.matrix

@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from conftest import full_jacobian
 
 from eitprobe import pdipm
 from eitprobe.datagen import NoiseModel, add_noise
@@ -30,7 +31,7 @@ def tv(tiny_mesh):
 def ball_dv(tiny_mesh, tiny_jacobian):
     inside = np.linalg.norm(tiny_mesh.centroids - BALL_CENTER, axis=1) < 0.8
     assert inside.sum() > 10
-    jfull = tiny_jacobian.matrix[tiny_jacobian.row_index]
+    jfull = full_jacobian(tiny_jacobian)
     return jfull @ (0.15 * inside.astype(float))
 
 
@@ -179,7 +180,7 @@ def _frames(mesh, jac, schedule):
     already lean on the data term of the Newton operator."""
     system = assemble_system(mesh, homogeneous_field(mesh, SIGMA_REF))
     v_ref = solve_forward(system, StimPattern(), schedule).values
-    jfull = jac.matrix[jac.row_index]
+    jfull = full_jacobian(jac)
     frames = []
     for seed, center in ((0, [4.0, 0.0, 0.0]), (1, [3.0, 0.0, 0.0])):
         inside = np.linalg.norm(mesh.centroids - center, axis=1) < 0.8
@@ -227,7 +228,7 @@ def test_large_alpha_flattens_image(tiny_jacobian, tv, ball_dv):
 
 def test_batch_agrees_with_single_runs(tiny_mesh, tiny_jacobian, tv, ball_dv):
     second = np.linalg.norm(tiny_mesh.centroids - [0.0, -1.8, 0.5], axis=1) < 0.8
-    jfull = tiny_jacobian.matrix[tiny_jacobian.row_index]
+    jfull = full_jacobian(tiny_jacobian)
     dv2 = jfull @ (0.15 * second.astype(float))
     batch = np.column_stack([ball_dv, dv2])
     cfg = PdipmConfig(alpha=1e-3, max_iters=45)
@@ -321,9 +322,11 @@ def test_mesh_provenance_enforced(tiny_mesh_alt, tiny_jacobian, ball_dv):
 
 
 def test_input_validation(tiny_jacobian, tv):
-    with pytest.raises(DimensionError):
-        reconstruct_pdipm_batch(tiny_jacobian, tv, np.zeros(5),
-                                PdipmConfig(alpha=1e-3))
+    n = tiny_jacobian.row_index.size
+    for dv in (np.zeros(5), np.zeros(()), np.zeros((n, 2, 1))):
+        with pytest.raises(DimensionError):
+            reconstruct_pdipm_batch(tiny_jacobian, tv, dv,
+                                    PdipmConfig(alpha=1e-3))
     for bad in ({"alpha": 0.0}, {"max_iters": 0}):
         with pytest.raises(ValueError):
             PdipmConfig(**bad)
